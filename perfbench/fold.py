@@ -1,6 +1,6 @@
 """Fold a traced run's spans into per-span and per-layer tables.
 
-    python3 perfbench/fold.py .perfbench/<workload>-seed<N>-trace1 [--json]
+    python3 perfbench/fold.py .perfbench/<workload>-seed<N>-trace1
 
 Reads the files a ``--trace 1`` run of ``perfbench/run.py`` leaves in its
 work directory and prints, for every span name, the count, total time,
@@ -10,7 +10,6 @@ traced run reported.
 """
 
 import argparse
-import json
 import os
 import sys
 
@@ -22,17 +21,12 @@ import tracing  # noqa: E402
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("workdir", help="a traced run's work directory")
-    parser.add_argument("--json", action="store_true",
-                        help="print one JSON document instead of tables")
     args = parser.parse_args(argv)
     if not os.path.exists(os.path.join(args.workdir, "work.json")):
         print(f"fold: no work.json in {args.workdir}; was it a --trace 1 run?",
               file=sys.stderr)
         return 2
     layers, folds = tracing.fold_workdir(args.workdir)
-    if args.json:
-        print(json.dumps({"spans": folds, "layers": layers}, indent=1))
-        return 0
     for process, table in folds.items():
         print(f"spans ({process} process)")
         print(f"  {'name':32s} {'count':>8s} {'total_s':>10s} {'self_s':>10s}"

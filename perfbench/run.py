@@ -17,7 +17,8 @@ Every answer is checked (against an in-process reference engine, the
 recorded spanner digest and a certification) before any number is printed.
 The last line of standard output is one JSON object:
 ``{"correct", "attempted", "failed", "metrics"}`` — the end-to-end metrics
-with ``--trace 0``, the per-layer metrics with ``--trace 1``.  A traced run
+with ``--trace 0``, the per-layer metrics with ``--trace 1``.  If a check
+fails, ``metrics`` is empty and the exit status is 1.  A traced run
 also prints its own end-to-end numbers and, when an untraced run of the
 same workload and seed is on record, the tracing overhead.
 
@@ -111,13 +112,19 @@ def main(argv=None):
           f"; checks {'passed' if correct else 'FAILED'}")
     for note in outcome.get("notes", ()):
         print(note)
+    if not correct:
+        # A wrong program's numbers are not reported: no metrics, and a
+        # failing exit status.
+        print(json.dumps({"correct": False, "attempted": attempted,
+                          "failed": failed, "metrics": {}}))
+        return 1
     for name, unit in end_to_end_units.items():
         print(f"  {name:16s} {end_to_end[name]:14.6g} {unit}"
               + ("  (traced)" if args.trace else ""))
 
     record = {"workload": args.workload, "seed": args.seed,
               "seconds": args.seconds, "trace": args.trace,
-              "environment": environment, "correct": correct,
+              "environment": environment,
               "attempted": attempted, "failures": failures,
               "end_to_end": end_to_end, "layers": outcome.get("layers")}
     results = os.path.join(WORK, "results")
@@ -146,7 +153,7 @@ def main(argv=None):
     else:
         metrics = {name: {"value": end_to_end[name], "unit": unit}
                    for name, unit in end_to_end_units.items()}
-    print(json.dumps({"correct": correct, "attempted": attempted,
+    print(json.dumps({"correct": True, "attempted": attempted,
                       "failed": failed, "metrics": metrics}))
     return 0
 

@@ -28,15 +28,26 @@ ROOT = os.path.dirname(HERE)
 SRC = os.path.join(ROOT, "src")
 
 _clock = time.perf_counter
+#: The timed units (fabric generation, construction, certification, a
+#: daemon's start) are CPU time, and each figure is the best of its
+#: repeats: on a shared host the hypervisor's steal and the scheduler's
+#: waits move wall time, and neighbours on the same cores slow some repeats
+#: by up to 2x, while the work itself stays put.
+_cpu = time.process_time
 
 #: Certifications per run, each of one sampled fault set (a sweep over all
-#: pairs); ``verify_s`` is their median.
-CERTIFICATIONS = 5
-#: build-fabric: fabric generations timed for ``setup_s`` (median).
-FABRIC_SETUPS = 7
-#: serve-*: daemon starts timed for ``setup_s`` (median); the last one
-#: serves the load.
-DAEMON_STARTS = 3
+#: pairs; the same samples every run); ``verify_s`` is the fastest.
+CERTIFICATIONS = 7
+#: build-fabric: fabric generations timed for ``setup_s`` (best of) before
+#: the first construction; each construction's own generation adds one
+#: more, so the samples cover the whole run.
+FABRIC_SETUPS = 15
+#: serve-*: daemons started, checked and stopped for ``setup_s`` (best of
+#: their CPU times); one more start serves the load.
+SETUP_STARTS = 5
+#: serve-*: the saturation phase's completions are cut into this many equal
+#: slices; ``peak_ops_per_s`` is the median of their rates.
+RATE_SLICES = 8
 #: serve-*: untimed closed-loop warm-up before the measured phases.
 WARMUP = dict(requests=400, concurrency=8)
 #: serve-*: share of ``--seconds`` spent in the open loop; the rest
@@ -98,8 +109,12 @@ def _count(failures, cause, amount=1):
         failures[cause] = failures.get(cause, 0) + amount
 
 
-def _peak_rss_mb(who):
-    return resource.getrusage(who).ru_maxrss / 1024  # KiB on Linux
+def _rss_mb(usage):
+    return usage.ru_maxrss / 1024  # KiB on Linux
+
+
+def _cpu_s(usage):
+    return usage.ru_utime + usage.ru_stime
 
 
 # ---------------------------------------------------------------------------
@@ -111,17 +126,18 @@ def _certify(check):
 
     The same fault sets every run: which vertex or edges a sample removes
     changes what a sweep costs, so seeded samples would move ``verify_s``
-    from seed to seed.  Returns the median time, whether every report was
-    ok, and the time windows (for the traced per-layer table).
+    from seed to seed.  Returns the least CPU time, whether every report
+    was ok, and the wall-clock windows (for the traced per-layer table).
     """
     windows = []
+    times = []
     ok = True
     for index in range(CERTIFICATIONS):
-        started = _clock()
+        started, cpu_started = _clock(), _cpu()
         ok = check(index).ok and ok
+        times.append(_cpu() - cpu_started)
         windows.append((started, _clock()))
-    return (statistics.median(end - start for start, end in windows), ok,
-            windows)
+    return min(times), ok, windows
 
 
 def build_fabric(*, seed, seconds, trace, workdir):
@@ -134,10 +150,15 @@ def build_fabric(*, seed, seconds, trace, workdir):
     if trace:
         tracing.install(recorder)
     setups = []
-    for _ in range(FABRIC_SETUPS):
-        started = _clock()
+
+    def generate():
+        started = _cpu()
         graph = inputs.fabric()
-        setups.append(_clock() - started)
+        setups.append(_cpu() - started)
+        return graph
+
+    for _ in range(FABRIC_SETUPS):
+        graph = generate()
     spec = BuildSpec(**inputs.FABRIC_SPEC)
     expected = expected_digest()
     kernel = get_kernels(spec.kernel).resolve(csr_snapshot(graph)).name
@@ -149,12 +170,13 @@ def build_fabric(*, seed, seconds, trace, workdir):
     started = None
     while len(builds) < 2 or _clock() - started < seconds:
         # A fresh graph per build: every construction compiles its own CSR.
-        graph = inputs.fabric()
+        graph = generate()
         session = BuildSession(graph, spec)
         before = _registry_counters()
-        build_started = _clock()
+        build_started, cpu_started = _clock(), _cpu()
         result = session.build()
         session.save_snapshot(snapshot)
+        build_cpu = _cpu() - cpu_started
         build_window = (build_started, _clock())
         build_counters = _delta(_registry_counters(), before)
         attempted += 1
@@ -168,7 +190,7 @@ def build_fabric(*, seed, seconds, trace, workdir):
             # set-up are paid there, off the clock.
             started = _clock()
             continue
-        builds.append(build_window[1] - build_window[0])
+        builds.append(build_cpu)
 
     before = _registry_counters()
     verify_s, certified, verify_windows = _certify(
@@ -181,21 +203,21 @@ def build_fabric(*, seed, seconds, trace, workdir):
         _count(failures, "check")
         print("CHECK FAILED: the built spanner failed certification")
 
-    build_s = statistics.median(builds)
+    build_s = min(builds)
     outcome = {
         "attempted": attempted,
         "failures": failures,
         "kernel_backend": kernel,
         "metrics": {
-            "setup_s": statistics.median(setups),
+            "setup_s": min(setups),
             "verify_s": verify_s,
             "spanner_edges": result.spanner.number_of_edges(),
-            "peak_rss_mb": _peak_rss_mb(resource.RUSAGE_SELF),
+            "peak_rss_mb": _rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
             "peak_ops_per_s": result.edges_considered / build_s,
         },
         "notes": [
             f"fabric: n={graph.number_of_nodes()} "
-            f"m={graph.number_of_edges()}; {len(builds)} constructions "
+            f"m={graph.number_of_edges()}; {len(builds)} constructions (CPU) "
             f"{', '.join(f'{b:.3f}s' for b in builds)}; spanner digest "
             f"{digest} (recorded {expected}); {CERTIFICATIONS} "
             "single-fault-set certifications "
@@ -232,11 +254,12 @@ class Daemon:
         command += ["--", snapshot, "--port", "0"]
         env = dict(os.environ, PYTHONPATH=SRC)
         self.log = open(os.path.join(workdir, f"daemon{index}.log"), "wb")
-        started = _clock()
+        self.stdout = b""
+        #: The daemon's own resource usage, once it has been reaped.
+        self.usage = None
         self.process = subprocess.Popen(command, stdout=subprocess.PIPE,
                                         stderr=self.log, env=env, cwd=ROOT)
         self.port = self._await_listening()
-        self.setup_s = _clock() - started
         # The "listening" line is printed before the SIGTERM handler is
         # installed; an answered /health means the serving loop (and the
         # handler) is up, so a stop from here on is a real drain.
@@ -246,26 +269,32 @@ class Daemon:
             self.kill()
             raise
 
+    def _read(self, deadline, done):
+        """Read stdout until ``done(stdout)``: True, None at EOF, False late."""
+        with selectors.DefaultSelector() as selector:
+            selector.register(self.process.stdout, selectors.EVENT_READ)
+            while not done(self.stdout):
+                if not selector.select(max(0.0, deadline - _clock())):
+                    return False
+                chunk = os.read(self.process.stdout.fileno(), 4096)
+                if not chunk:
+                    return None
+                self.stdout += chunk
+        return True
+
     def _await_listening(self):
         """Read stdout up to the "listening" line; the startup contract."""
         marker = b"daemon listening on http://"
-        buffered = b""
-        deadline = _clock() + self.START_TIMEOUT
-        with selectors.DefaultSelector() as selector:
-            selector.register(self.process.stdout, selectors.EVENT_READ)
-            while marker not in buffered or not buffered.split(
-                    marker, 1)[1].count(b"\n"):
-                if not selector.select(max(0.0, deadline - _clock())):
-                    self.kill()
-                    raise RuntimeError("daemon did not start in time")
-                chunk = os.read(self.process.stdout.fileno(), 4096)
-                if not chunk:
-                    self.kill()
-                    raise RuntimeError("daemon exited before listening: "
-                                       + buffered.decode(errors="replace"))
-                buffered += chunk
-        self.stdout = buffered
-        address = buffered.split(marker, 1)[1].split(b"\n", 1)[0]
+        listening = self._read(
+            _clock() + self.START_TIMEOUT,
+            lambda out: b"\n" in out.partition(marker)[2])
+        if not listening:
+            self.kill()
+            raise RuntimeError(
+                "daemon did not start in time" if listening is False else
+                "daemon exited before listening: "
+                + self.stdout.decode(errors="replace"))
+        address = self.stdout.split(marker, 1)[1].split(b"\n", 1)[0]
         return int(address.decode().rsplit(":", 1)[1])
 
     def get(self, path):
@@ -274,37 +303,55 @@ class Daemon:
             return response.read().decode("utf-8")
 
     def stop(self):
-        """SIGTERM, as an operator stops it; True if it drained cleanly."""
+        """SIGTERM, as an operator stops it; True if it drained cleanly.
+
+        The daemon is reaped with ``wait4`` so that :attr:`usage` holds its
+        own CPU time and peak RSS, not those of other children.
+        """
         self.process.send_signal(signal.SIGTERM)
+        deadline = _clock() + self.STOP_TIMEOUT
         try:
-            rest, _ = self.process.communicate(timeout=self.STOP_TIMEOUT)
-        except subprocess.TimeoutExpired:
-            self.kill()
-            return False
+            if self._read(deadline, lambda out: False) is False:
+                self.kill()
+                return False
+            while not self._reap(os.WNOHANG):
+                if _clock() > deadline:
+                    self.kill()
+                    return False
+                time.sleep(0.01)
         finally:
             self.log.close()
-        self.stdout += rest
+            self.process.stdout.close()
         return (self.process.returncode == 0
                 and b"daemon drained cleanly" in self.stdout)
 
+    def _reap(self, options):
+        pid, status, usage = os.wait4(self.process.pid, options)
+        if pid:
+            self.process.returncode = os.waitstatus_to_exitcode(status)
+            self.usage = usage
+        return pid
+
     def kill(self):
         self.process.kill()
-        self.process.wait()
+        self._reap(0)
 
     def spans(self):
         with open(self.spans_path) as handle:
             return [tuple(span) for span in json.load(handle)]
 
 
-def _start_daemons(snapshot, workdir, trace, failures):
-    """Start the daemon ``DAEMON_STARTS`` times; keep the last one running."""
+def _setup_cpu_s(snapshot, workdir, trace, failures):
+    """Least CPU time of :data:`SETUP_STARTS` daemons that start, answer
+    ``/health`` and drain: the daemon's whole set-up, snapshot load and CSR
+    compile included."""
     setups = []
-    for index in range(DAEMON_STARTS):
+    for index in range(SETUP_STARTS):
         daemon = Daemon(snapshot, workdir, index, trace)
-        setups.append(daemon.setup_s)
-        if index < DAEMON_STARTS - 1 and not daemon.stop():
+        if not daemon.stop():
             _count(failures, "drain")
-    return daemon, statistics.median(setups)
+        setups.append(_cpu_s(daemon.usage))
+    return min(setups)
 
 
 def _run_loadgen(port, phases, workdir, seconds):
@@ -333,12 +380,19 @@ def _status_cause(status):
 
 
 def _peak_rate(records):
-    """Completions per second in the closed-loop saturation phase."""
-    closed = [record for record in records
-              if record[0] == "closed" and record[5] == 200]
-    elapsed = (max(record[4] for record in closed)
-               - min(record[3] for record in closed))
-    return len(closed) / elapsed
+    """Completions per second in the closed-loop saturation phase.
+
+    The phase's answers, in the order they arrived, are cut into
+    :data:`RATE_SLICES` equal slices and the median of their rates is
+    reported, so a stall of the host in one slice does not move the figure.
+    """
+    closed = [record for record in records if record[0] == "closed"]
+    stamps = [min(record[3] for record in closed)] + sorted(
+        record[4] for record in closed if record[5] == 200)
+    cuts = [round(index * (len(stamps) - 1) / RATE_SLICES)
+            for index in range(RATE_SLICES + 1)]
+    return statistics.median((end - start) / (stamps[end] - stamps[start])
+                             for start, end in zip(cuts, cuts[1:]))
 
 
 def _distance(result):
@@ -477,8 +531,9 @@ def _serve(*, seed, seconds, trace, workdir, churn):
             _count(failures, "check")
             print("CHECK FAILED: the served snapshot failed certification")
 
-    daemon, setup_s = _start_daemons(snapshot_path, workdir, trace, failures)
-    attempted += DAEMON_STARTS
+    setup_s = _setup_cpu_s(snapshot_path, workdir, trace, failures)
+    daemon = Daemon(snapshot_path, workdir, SETUP_STARTS, trace)
+    attempted += SETUP_STARTS + 1
     try:
         records = _run_loadgen(daemon.port, phases, workdir, seconds)
         metrics_text = daemon.get("/metrics")
@@ -486,8 +541,7 @@ def _serve(*, seed, seconds, trace, workdir, churn):
     finally:
         if not daemon.stop():
             _count(failures, "drain")
-    # The largest child reaped so far: the daemon that served the load.
-    peak_rss_mb = _peak_rss_mb(resource.RUSAGE_CHILDREN)
+    peak_rss_mb = _rss_mb(daemon.usage)
 
     # Failure accounting: every sent request counts; nothing is retried.
     payloads = _payloads(phases, records)
@@ -532,13 +586,9 @@ def _serve(*, seed, seconds, trace, workdir, churn):
                     or result["journal_offset"] != applied):
                 mismatches += 1
         settle()
-        engine = health["engine"]
-        if (engine["spanner_version"] != reference.dynamic.spanner.version
-                or engine["journal_offset"] != applied):
-            mismatches += 1
-            print("CHECK FAILED: daemon lineage "
-                  f"{engine['spanner_version']}/{engine['journal_offset']} != "
-                  f"reference {reference.dynamic.spanner.version}/{applied}")
+        final_spanner = reference.dynamic.spanner
+        lineage = (final_spanner.version, applied,
+                   final_spanner.number_of_edges())
         verify_s, certified, _ = _certify(
             lambda rng: reference.certify(method="sampled", samples=1,
                                           rng=rng))
@@ -546,7 +596,6 @@ def _serve(*, seed, seconds, trace, workdir, churn):
         if not certified:
             _count(failures, "check")
             print("CHECK FAILED: the final spanner failed certification")
-        final_spanner = reference.dynamic.spanner
     else:
         reference = QueryEngine(reference_snapshot)
         served = [(record, payload)
@@ -557,13 +606,23 @@ def _serve(*, seed, seconds, trace, workdir, churn):
         mismatches = sum(1 for (record, _), want in zip(served, answers)
                          if _distance(record[6]) != want)
         final_spanner = reference_snapshot.spanner
+        lineage = (final_spanner.version, 0, final_spanner.number_of_edges())
+    # The daemon's own final spanner: version, journal offset and edge count
+    # as /health reports them, against the reference's.
+    engine = health["engine"]
+    served_lineage = (engine["spanner_version"], engine["journal_offset"],
+                      engine["snapshot"]["edges"])
+    if served_lineage != lineage:
+        mismatches += 1
+        print(f"CHECK FAILED: daemon lineage (version, offset, edges) "
+              f"{served_lineage} != reference {lineage}")
     if mismatches:
         _count(failures, "check", mismatches)
         print(f"CHECK FAILED: {mismatches} answers differ from the reference")
     check_s = _clock() - check_started
 
     metrics = {"setup_s": setup_s, "verify_s": verify_s,
-               "spanner_edges": final_spanner.number_of_edges(),
+               "spanner_edges": served_lineage[2],
                "peak_rss_mb": peak_rss_mb,
                "peak_ops_per_s": _peak_rate(records)}
     split = tracing.layer_table([], {}, records)
