@@ -12,8 +12,10 @@ from repro.graph.core import Graph
 #: build-fabric: the fabric shape (see ``spine_leaf``) and the construction.
 #: One fabric for every seed: fabrics that differ only in how their hosts
 #: are homed already differ by a third in construction work, which would
-#: swamp any change under test; the seed drives the certification sample.
-FABRIC = dict(num_singles=400, num_core=80, num_leaves=24, num_spines=8,
+#: swamp any change under test.  It is small (272 nodes, about a second
+#: per construction) so that a run holds a dozen constructions, whose
+#: median is steady on a noisy host.
+FABRIC = dict(num_singles=200, num_core=40, num_leaves=24, num_spines=8,
               homes=10)
 FABRIC_SPEC = dict(algorithm="ft-greedy", stretch=7, max_faults=3,
                   fault_model="edge", oracle="tiered")

@@ -1,14 +1,21 @@
 """Start ``repro-spanner daemon`` through its CLI, optionally traced.
 
-    python3 perfbench/launcher.py [--spans PATH] -- <daemon arguments>
+    python3 perfbench/launcher.py [--spans PATH] [--ticks PATH] \
+        -- <daemon arguments>
 
-Without ``--spans`` this is exactly ``repro.cli.main(["daemon", ...])``.
-With it, the benchmark's wrappers (:mod:`tracing`) are installed first, and
-the recorded spans are written to ``PATH`` once the daemon has drained and
-``main`` returned.  The exit code is the daemon's.
+Without options this is exactly ``repro.cli.main(["daemon", ...])``.
+With ``--spans``, the benchmark's wrappers (:mod:`tracing`) are installed
+first, and the recorded spans are written to ``PATH`` once the daemon has
+drained and ``main`` returned.  With ``--ticks``, calibration ticks
+(:class:`calibrate.Ticks`) run from before the program is imported until
+the daemon exits or receives ``SIGUSR1``, and are written to ``PATH`` as a
+JSON list of ``[perf_counter stamp, CPU seconds]``.  The exit code is the
+daemon's.
 """
 
+import json
 import os
+import signal
 import sys
 
 HERE = os.path.dirname(os.path.abspath(__file__))
@@ -17,13 +24,20 @@ sys.path.insert(0, HERE)
 
 
 def main(argv):
-    spans_path = None
-    if argv[:1] == ["--spans"]:
-        spans_path, argv = argv[1], argv[2:]
+    paths = {}
+    while argv[:1] in (["--spans"], ["--ticks"]):
+        paths[argv[0]], argv = argv[1], argv[2:]
     if argv[:1] == ["--"]:
         argv = argv[1:]
+    ticks = None
+    if "--ticks" in paths:
+        import calibrate
+
+        ticks = calibrate.Ticks()
+        signal.signal(signal.SIGUSR1, lambda signum, frame: ticks.stop())
+        ticks.start()
     recorder = None
-    if spans_path is not None:
+    if "--spans" in paths:
         import tracing
 
         recorder = tracing.Recorder()
@@ -31,8 +45,12 @@ def main(argv):
     from repro import cli
 
     code = cli.main(["daemon", *argv])
+    if ticks is not None:
+        ticks.stop()
+        with open(paths["--ticks"], "w") as handle:
+            json.dump(ticks.ticks, handle)
     if recorder is not None:
-        recorder.dump(spans_path)
+        recorder.dump(paths["--spans"])
     return code
 
 

@@ -3,7 +3,8 @@
 Run by ``perfbench/run.py`` as its own process, so the generator never
 shares the daemon's (or ``run.py``'s) interpreter lock::
 
-    python3 perfbench/loadgen.py --port PORT --plan plan.json --out results.json
+    python3 perfbench/loadgen.py --port PORT --plan plan.json --out results.json \
+        [--cpus 0]
 
 The plan is a JSON list of phases, sent in order over one pipelined
 WebSocket session to the daemon's ``/v1/ws`` endpoint:
@@ -14,6 +15,10 @@ WebSocket session to the daemon's ``/v1/ws`` endpoint:
 * ``{"name", "kind": "closed", "concurrency", "seconds", "messages": [...]}``
   — closed loop: ``concurrency`` requests stay outstanding; each answer
   releases the next message, until ``seconds`` pass or the list runs out.
+
+A phase with ``"signal": pid`` ends by sending ``SIGUSR1`` to ``pid`` once
+all its answers are in: the benchmark's daemon launcher then stops timing
+its calibration ticks (``perfbench/launcher.py``).
 
 The main thread sends and one receiver thread reads answers, so the process
 runs two threads in all.  Every sent request is written to the results file
@@ -32,6 +37,7 @@ program's codec does.
 import argparse
 import json
 import os
+import signal
 import socket
 import struct
 import sys
@@ -177,6 +183,8 @@ def run(port: int, phases):
                     send(phase["name"], verb, payload, time.perf_counter())
             # Each phase's tail is answered before the next phase starts.
             wait_for(lambda: state["received"] == len(records))
+            if "signal" in phase:
+                os.kill(phase["signal"], signal.SIGUSR1)
             if state["closed"]:
                 break
     finally:
@@ -197,7 +205,11 @@ def main(argv=None) -> int:
     parser.add_argument("--port", type=int, required=True)
     parser.add_argument("--plan", required=True)
     parser.add_argument("--out", required=True)
+    parser.add_argument("--cpus", default=None,
+                        help="comma-separated CPUs to run on")
     args = parser.parse_args(argv)
+    if args.cpus:
+        os.sched_setaffinity(0, {int(cpu) for cpu in args.cpus.split(",")})
     with open(args.plan) as handle:
         phases = json.load(handle)
     records, failure = run(args.port, phases)

@@ -20,6 +20,7 @@ import sys
 import time
 import urllib.request
 
+import calibrate
 import inputs
 import tracing
 
@@ -29,33 +30,33 @@ SRC = os.path.join(ROOT, "src")
 
 _clock = time.perf_counter
 #: The timed units (fabric generation, construction, certification, a
-#: daemon's start) are CPU time, and each figure is the best of its
-#: repeats: on a shared host the hypervisor's steal and the scheduler's
-#: waits move wall time, and neighbours on the same cores slow some repeats
-#: by up to 2x, while the work itself stays put.
-_cpu = time.process_time
+#: daemon's start) are CPU time of the process doing the work, scaled to
+#: reference seconds by a fixed spin job timed beside each unit, and inside
+#: constructions and certifications (:mod:`calibrate`); each figure is the
+#: median of its units: on a shared host the hypervisor's steal and the
+#: scheduler's waits move wall time, and neighbours on the same cores slow
+#: the CPU time of whole stretches of the run by up to 2x.
 
 #: Certifications per run, each of one sampled fault set (a sweep over all
-#: pairs; the same samples every run); ``verify_s`` is the fastest.
-CERTIFICATIONS = 7
-#: build-fabric: fabric generations timed for ``setup_s`` (best of) before
-#: the first construction; each construction's own generation adds one
-#: more, so the samples cover the whole run.
-FABRIC_SETUPS = 15
-#: serve-*: daemons started, checked and stopped for ``setup_s`` (best of
-#: their CPU times); one more start serves the load.
-SETUP_STARTS = 5
-#: serve-*: the saturation phase's completions are cut into this many equal
-#: slices; ``peak_ops_per_s`` is the median of their rates.
-RATE_SLICES = 8
+#: pairs; samples ``rng=0..``, the same every run); ``verify_s`` is their
+#: median.  The fabric's sweeps are shorter, so it runs more of them.
+CERTIFICATIONS = {"fabric": 24, "serve": 7}
+#: build-fabric: fabric generations timed for ``setup_s`` before the first
+#: construction; each construction's own generation adds one more, so the
+#: samples cover the whole run.
+FABRIC_SETUPS = 9
+#: serve-*: daemons started, checked and stopped for ``setup_s`` (the
+#: median of their CPU times); one more start serves the load.
+SETUP_STARTS = 7
 #: serve-*: untimed closed-loop warm-up before the measured phases.
 WARMUP = dict(requests=400, concurrency=8)
 #: serve-*: share of ``--seconds`` spent in the open loop; the rest
 #: saturates the daemon with ``SATURATION_CONCURRENCY`` requests in flight.
 OPEN_SHARE = 0.5
 SATURATION_CONCURRENCY = 32
-#: Upper bound on the saturation rate, to size the closed-loop message list.
-MAX_RATE = 4000
+#: serve-zipf: saturation-phase requests per second of ``--seconds`` spent
+#: in it, so the phase is the same work in every run.
+ZIPF_SATURATION_PER_S = 1200
 #: serve-churn: requests in the saturation phase (reads and updates).
 CHURN_SATURATION_REQUESTS = 1600
 #: A closed-loop phase that has not finished by then is cut short.
@@ -121,23 +122,22 @@ def _cpu_s(usage):
 # build-fabric
 # ---------------------------------------------------------------------------
 
-def _certify(check):
-    """Run ``check(rng)`` :data:`CERTIFICATIONS` times, samples ``rng=0..``.
+def _certify(check, timer, count):
+    """Run ``check(rng)`` ``count`` times, samples ``rng=0..``.
 
     The same fault sets every run: which vertex or edges a sample removes
     changes what a sweep costs, so seeded samples would move ``verify_s``
-    from seed to seed.  Returns the least CPU time, whether every report
-    was ok, and the wall-clock windows (for the traced per-layer table).
+    from seed to seed.  Returns the median reference seconds (``timer`` is
+    a :class:`calibrate.Calibrated`), whether every report was ok, and the
+    wall-clock windows (for the traced per-layer table).
     """
     windows = []
-    times = []
     ok = True
-    for index in range(CERTIFICATIONS):
-        started, cpu_started = _clock(), _cpu()
-        ok = check(index).ok and ok
-        times.append(_cpu() - cpu_started)
+    for index in range(count):
+        started = _clock()
+        ok = timer.time("verify", check, index, sampled=True).ok and ok
         windows.append((started, _clock()))
-    return min(times), ok, windows
+    return statistics.median(timer.reference("verify")), ok, windows
 
 
 def build_fabric(*, seed, seconds, trace, workdir):
@@ -149,13 +149,11 @@ def build_fabric(*, seed, seconds, trace, workdir):
     recorder = tracing.Recorder() if trace else None
     if trace:
         tracing.install(recorder)
-    setups = []
+    calibrate.pin()
+    timer = calibrate.Calibrated()
 
     def generate():
-        started = _cpu()
-        graph = inputs.fabric()
-        setups.append(_cpu() - started)
-        return graph
+        return timer.time("setup", inputs.fabric)
 
     for _ in range(FABRIC_SETUPS):
         graph = generate()
@@ -165,18 +163,20 @@ def build_fabric(*, seed, seconds, trace, workdir):
 
     failures = {}
     attempted = 0
-    builds = []
     snapshot = os.path.join(workdir, "fabric_snapshot.json")
     started = None
-    while len(builds) < 2 or _clock() - started < seconds:
+    while attempted < 3 or _clock() - started < seconds:
         # A fresh graph per build: every construction compiles its own CSR.
         graph = generate()
         session = BuildSession(graph, spec)
         before = _registry_counters()
-        build_started, cpu_started = _clock(), _cpu()
-        result = session.build()
-        session.save_snapshot(snapshot)
-        build_cpu = _cpu() - cpu_started
+        build_started = _clock()
+        # The first build is the warm-up: lazy imports and first-use
+        # set-up are paid there, off the clock.
+        result = timer.time(
+            "build" if started is not None else "warmup",
+            lambda: (session.build(), session.save_snapshot(snapshot))[0],
+            sampled=True)
         build_window = (build_started, _clock())
         build_counters = _delta(_registry_counters(), before)
         attempted += 1
@@ -186,40 +186,39 @@ def build_fabric(*, seed, seconds, trace, workdir):
             print(f"CHECK FAILED: spanner digest {digest} != recorded "
                   f"{expected}")
         if started is None:
-            # The first build is the warm-up: lazy imports and first-use
-            # set-up are paid there, off the clock.
             started = _clock()
-            continue
-        builds.append(build_cpu)
 
     before = _registry_counters()
     verify_s, certified, verify_windows = _certify(
         lambda rng: verify.is_ft_spanner(
             graph, result.spanner, spec.stretch, spec.max_faults,
-            spec.fault_model, method="sampled", samples=1, rng=rng))
+            spec.fault_model, method="sampled", samples=1, rng=rng), timer,
+        CERTIFICATIONS["fabric"])
     verify_counters = _delta(_registry_counters(), before)
-    attempted += CERTIFICATIONS
+    attempted += CERTIFICATIONS["fabric"]
     if not certified:
         _count(failures, "check")
         print("CHECK FAILED: the built spanner failed certification")
 
-    build_s = min(builds)
+    builds = timer.reference("build")
     outcome = {
         "attempted": attempted,
         "failures": failures,
         "kernel_backend": kernel,
         "metrics": {
-            "setup_s": min(setups),
+            "setup_s": statistics.median(timer.reference("setup")),
             "verify_s": verify_s,
             "spanner_edges": result.spanner.number_of_edges(),
             "peak_rss_mb": _rss_mb(resource.getrusage(resource.RUSAGE_SELF)),
-            "peak_ops_per_s": result.edges_considered / build_s,
+            "peak_ops_per_s": (result.edges_considered
+                               / statistics.median(builds)),
         },
         "notes": [
             f"fabric: n={graph.number_of_nodes()} "
-            f"m={graph.number_of_edges()}; {len(builds)} constructions (CPU) "
+            f"m={graph.number_of_edges()}; {len(builds)} constructions "
+            "(reference s) "
             f"{', '.join(f'{b:.3f}s' for b in builds)}; spanner digest "
-            f"{digest} (recorded {expected}); {CERTIFICATIONS} "
+            f"{digest} (recorded {expected}); {CERTIFICATIONS['fabric']} "
             "single-fault-set certifications "
             + ("passed" if certified else "FAILED"),
         ],
@@ -240,7 +239,11 @@ def build_fabric(*, seed, seconds, trace, workdir):
 # ---------------------------------------------------------------------------
 
 class Daemon:
-    """``repro-spanner daemon`` on an ephemeral port, via the launcher."""
+    """``repro-spanner daemon`` on an ephemeral port, via the launcher.
+
+    Its calibration ticks (:class:`calibrate.Ticks`) run from its start
+    until it exits or is sent ``SIGUSR1``.
+    """
 
     START_TIMEOUT = 60.0
     STOP_TIMEOUT = 30.0
@@ -248,7 +251,9 @@ class Daemon:
     def __init__(self, snapshot, workdir, index, trace):
         self.spans_path = (os.path.join(workdir, f"daemon{index}_spans.json")
                            if trace else None)
-        command = [sys.executable, os.path.join(HERE, "launcher.py")]
+        self.ticks_path = os.path.join(workdir, f"daemon{index}_ticks.json")
+        command = [sys.executable, os.path.join(HERE, "launcher.py"),
+                   "--ticks", self.ticks_path]
         if trace:
             command += ["--spans", self.spans_path]
         command += ["--", snapshot, "--port", "0"]
@@ -340,27 +345,35 @@ class Daemon:
         with open(self.spans_path) as handle:
             return [tuple(span) for span in json.load(handle)]
 
+    def ticks(self):
+        with open(self.ticks_path) as handle:
+            return json.load(handle)
 
-def _setup_cpu_s(snapshot, workdir, trace, failures):
-    """Least CPU time of :data:`SETUP_STARTS` daemons that start, answer
-    ``/health`` and drain: the daemon's whole set-up, snapshot load and CSR
-    compile included."""
-    setups = []
+
+def _setup_s(snapshot, workdir, trace, failures, timer):
+    """Median CPU time, in reference seconds, of :data:`SETUP_STARTS`
+    daemons that start, answer ``/health`` and drain: the daemon's whole
+    set-up, snapshot load and CSR compile included.  Each is scaled by its
+    own ticks."""
     for index in range(SETUP_STARTS):
         daemon = Daemon(snapshot, workdir, index, trace)
         if not daemon.stop():
             _count(failures, "drain")
-        setups.append(_cpu_s(daemon.usage))
-    return min(setups)
+        ticks = daemon.ticks()
+        timer.add("setup", _cpu_s(daemon.usage)
+                  - sum(seconds for _, seconds in ticks),
+                  calibrate.scale(ticks))
+    return statistics.median(timer.reference("setup"))
 
 
-def _run_loadgen(port, phases, workdir, seconds):
+def _run_loadgen(port, phases, workdir, seconds, cpus):
     plan = os.path.join(workdir, "plan.json")
     out = os.path.join(workdir, "requests.json")
     with open(plan, "w") as handle:
         json.dump(phases, handle)
     subprocess.run([sys.executable, os.path.join(HERE, "loadgen.py"),
-                    "--port", str(port), "--plan", plan, "--out", out],
+                    "--port", str(port), "--plan", plan, "--out", out,
+                    "--cpus", ",".join(map(str, cpus[1]))],
                    check=True, timeout=seconds + 90, cwd=ROOT)
     with open(out) as handle:
         document = json.load(handle)
@@ -379,20 +392,20 @@ def _status_cause(status):
     return "5xx"
 
 
-def _peak_rate(records):
+def _peak_rate(records, ticks):
     """Completions per second in the closed-loop saturation phase.
 
-    The phase's answers, in the order they arrived, are cut into
-    :data:`RATE_SLICES` equal slices and the median of their rates is
-    reported, so a stall of the host in one slice does not move the figure.
+    The phase's answered requests over its time in reference seconds: its
+    wall time (first send to last answer), less the daemon's ticks in it,
+    scaled by those ticks (:mod:`calibrate`).
     """
-    closed = [record for record in records if record[0] == "closed"]
-    stamps = [min(record[3] for record in closed)] + sorted(
-        record[4] for record in closed if record[5] == 200)
-    cuts = [round(index * (len(stamps) - 1) / RATE_SLICES)
-            for index in range(RATE_SLICES + 1)]
-    return statistics.median((end - start) / (stamps[end] - stamps[start])
-                             for start, end in zip(cuts, cuts[1:]))
+    phase = [record for record in records if record[0] == "closed"]
+    started = min(record[3] for record in phase)
+    ended = max(record[4] for record in phase)
+    ticks = [tick for tick in ticks if started <= tick[0] <= ended]
+    seconds = (ended - started - sum(seconds for _, seconds in ticks))
+    return (sum(1 for record in phase if record[5] == 200)
+            / (seconds * calibrate.scale(ticks)))
 
 
 def _distance(result):
@@ -449,47 +462,51 @@ def _serving_snapshot():
 
 
 def _plan(spanner, seed, seconds, churn):
-    """The load generator's phases: warm-up, open loop, saturation."""
+    """The load generator's phases: warm-up, saturation, open loop.
+
+    The warm-up and the saturation phase replay one fixed stream, so the
+    daemon enters the saturation phase in the same state in every run: how
+    many distinct (source, faults) keys a Zipf draw holds moves the cache
+    hit rate, and with it the peak rate, from seed to seed.  The seed drives
+    the open loop, which runs last.
+    """
     open_seconds = OPEN_SHARE * seconds
-    closed_seconds = seconds - open_seconds
     read_rate = CHURN_READ_RATE if churn else ZIPF_RATE
-    open_count = int(read_rate * open_seconds)
     if churn:
         # A fixed request count, so the final spanner is the same in every
         # run; the saturation phase keeps the open loop's read:update mix.
         closed_count = CHURN_SATURATION_REQUESTS
-        closed_seconds = SATURATION_CAP_SECONDS
     else:
-        closed_count = int(MAX_RATE * closed_seconds)
-    reads = inputs.zipf_reads(spanner, WARMUP["requests"] + open_count, seed)
-    warmup, reads = reads[:WARMUP["requests"]], reads[WARMUP["requests"]:]
-    # The saturation phase replays one fixed stream: how many distinct
-    # (source, faults) keys a Zipf draw holds moves the cache hit rate, and
-    # with it the peak rate, from seed to seed.
-    closed = [["distance", payload] for payload in inputs.zipf_reads(
-        spanner, closed_count, inputs.SERVE_GRAPH["seed"])]
+        closed_count = int(ZIPF_SATURATION_PER_S * (seconds - open_seconds))
+    fixed = inputs.zipf_reads(spanner, WARMUP["requests"] + closed_count,
+                              inputs.SERVE_GRAPH["seed"])
+    warmup, closed = fixed[:WARMUP["requests"]], fixed[WARMUP["requests"]:]
+    closed = [["distance", payload] for payload in closed]
+    reads = inputs.zipf_reads(spanner, int(read_rate * open_seconds), seed)
     updates = []
     update_rate = 0.0
     if churn:
         update_rate = CHURN_UPDATE_RATE
         every = round(read_rate / update_rate)
-        opening = int(update_rate * open_seconds)
-        updates = inputs.churn_updates(opening + closed_count // (every + 1))
-        closing, reading = iter(updates[opening:]), iter(closed)
+        closing = closed_count // (every + 1)
+        updates = inputs.churn_updates(
+            closing + int(update_rate * open_seconds))
+        pending, reading = iter(updates[:closing]), iter(closed)
+        updates = updates[closing:]
         closed = []
         while len(closed) < closed_count:
-            closed.append(["update", next(closing)]
+            closed.append(["update", next(pending)]
                           if len(closed) % (every + 1) == every
                           else next(reading))
     return [
         {"name": "warmup", "kind": "closed", "seconds": SATURATION_CAP_SECONDS,
          "concurrency": WARMUP["concurrency"],
          "messages": [["distance", payload] for payload in warmup]},
+        {"name": "closed", "kind": "closed", "seconds": SATURATION_CAP_SECONDS,
+         "concurrency": SATURATION_CONCURRENCY, "messages": closed},
         {"name": "open", "kind": "open",
          "messages": inputs.open_schedule(reads, read_rate, open_seconds,
                                           updates, update_rate)},
-        {"name": "closed", "kind": "closed", "seconds": closed_seconds,
-         "concurrency": SATURATION_CONCURRENCY, "messages": closed},
     ]
 
 
@@ -509,6 +526,10 @@ def _serve(*, seed, seconds, trace, workdir, churn):
     failures = {}
     attempted = 0
 
+    # This process, the daemons it starts and the spins that scale their
+    # times share one CPU; the load generator runs on the others.
+    cpus = calibrate.pin()
+    timer = calibrate.Calibrated()
     snapshot_path = _serving_snapshot()
     snapshot = SpannerSnapshot.load(snapshot_path)
     spanner = snapshot.spanner
@@ -525,23 +546,28 @@ def _serve(*, seed, seconds, trace, workdir, churn):
             lambda rng: verify.is_ft_spanner(
                 snapshot.original, spanner, snapshot.stretch,
                 snapshot.max_faults, snapshot.fault_model, method="sampled",
-                samples=1, rng=rng))
-        attempted += CERTIFICATIONS
+                samples=1, rng=rng), timer, CERTIFICATIONS["serve"])
+        attempted += CERTIFICATIONS["serve"]
         if not certified:
             _count(failures, "check")
             print("CHECK FAILED: the served snapshot failed certification")
 
-    setup_s = _setup_cpu_s(snapshot_path, workdir, trace, failures)
+    setup_s = _setup_s(snapshot_path, workdir, trace, failures, timer)
     daemon = Daemon(snapshot_path, workdir, SETUP_STARTS, trace)
     attempted += SETUP_STARTS + 1
+    # The daemon's ticks stop when the saturation phase has been answered,
+    # so they never hold up the open loop.
+    next(phase for phase in phases
+         if phase["name"] == "closed")["signal"] = daemon.process.pid
     try:
-        records = _run_loadgen(daemon.port, phases, workdir, seconds)
+        records = _run_loadgen(daemon.port, phases, workdir, seconds, cpus)
         metrics_text = daemon.get("/metrics")
         health = json.loads(daemon.get("/health"))
     finally:
         if not daemon.stop():
             _count(failures, "drain")
     peak_rss_mb = _rss_mb(daemon.usage)
+    peak_ops_per_s = _peak_rate(records, daemon.ticks())
 
     # Failure accounting: every sent request counts; nothing is retried.
     payloads = _payloads(phases, records)
@@ -591,8 +617,9 @@ def _serve(*, seed, seconds, trace, workdir, churn):
                    final_spanner.number_of_edges())
         verify_s, certified, _ = _certify(
             lambda rng: reference.certify(method="sampled", samples=1,
-                                          rng=rng))
-        attempted += CERTIFICATIONS
+                                          rng=rng), timer,
+            CERTIFICATIONS["serve"])
+        attempted += CERTIFICATIONS["serve"]
         if not certified:
             _count(failures, "check")
             print("CHECK FAILED: the final spanner failed certification")
@@ -624,9 +651,10 @@ def _serve(*, seed, seconds, trace, workdir, churn):
     metrics = {"setup_s": setup_s, "verify_s": verify_s,
                "spanner_edges": served_lineage[2],
                "peak_rss_mb": peak_rss_mb,
-               "peak_ops_per_s": _peak_rate(records)}
+               "peak_ops_per_s": peak_ops_per_s}
     split = tracing.layer_table([], {}, records)
     opened = [record[1] for record in records if record[0] == "open"]
+    records_closed = [record for record in records if record[0] == "closed"]
     outcome = {
         "attempted": attempted,
         "failures": failures,
@@ -638,10 +666,8 @@ def _serve(*, seed, seconds, trace, workdir, churn):
             f"m={snapshot.original.number_of_edges()} "
             f"spanner={spanner.number_of_edges()} edges; open loop {read_rate}/s reads"
             + (f" + {update_rate}/s updates" if churn else "")
-            + f" for {open_seconds:g}s, then {SATURATION_CONCURRENCY} in "
-              f"flight for {phases[-1]['seconds']:g}s"
-            + (f" or {len(phases[-1]['messages'])} requests" if churn
-               else ""),
+            + f" for {open_seconds:g}s, after {len(records_closed)} requests "
+              f"with {SATURATION_CONCURRENCY} in flight",
             f"open loop: {opened.count('distance')} reads p50 "
             f"{split['loadgen.read_p50_ms']:.2f}ms p99 "
             f"{split['loadgen.read_p99_ms']:.2f}ms"
