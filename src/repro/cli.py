@@ -461,6 +461,9 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
 
     async def _serve() -> None:
         await daemon.start()
+        # Handlers go in before the "listening" line, so a SIGTERM sent the
+        # moment a supervisor reads it drains instead of killing the process.
+        daemon.install_signal_handlers()
         info = snapshot.describe()
         mode = ("live, /v1/update enabled" if core.writable
                 else "frozen snapshot, read-only")
@@ -474,7 +477,7 @@ def _cmd_daemon(args: argparse.Namespace) -> int:
               f"coalescing window {args.window_ms:g}ms "
               f"(max batch {args.max_batch}), "
               f"queue limit {args.queue_limit}", flush=True)
-        await daemon.run()
+        await daemon.run(install_signals=False)
 
     asyncio.run(_serve())
     print("daemon drained cleanly")

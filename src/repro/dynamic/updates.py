@@ -139,6 +139,24 @@ def update_to_json(update: UpdateOp) -> Dict[str, Any]:
     return document
 
 
+def _holds_bool(value: Any) -> bool:
+    return isinstance(value, bool) or (
+        isinstance(value, list) and any(map(_holds_bool, value)))
+
+
+def node_from_json(value: Any, field: str) -> Node:
+    """One node label from its JSON form (lists become tuples).
+
+    JSON booleans are refused, also inside a tuple label: Python reads
+    ``true`` as ``1``, so the op would silently land on node 1.
+    """
+    if _holds_bool(value):
+        raise UpdateError(
+            f"{field} must be a node label, not the JSON boolean "
+            f"{json.dumps(value)}")
+    return _restore_node(value)
+
+
 def update_from_json(document: Dict[str, Any]) -> UpdateOp:
     """Rebuild one op from :func:`update_to_json` output.
 
@@ -151,8 +169,8 @@ def update_from_json(document: Dict[str, Any]) -> UpdateOp:
         raise UpdateError(
             f"unknown update op {document.get('op')!r}; "
             f"expected one of {sorted(_OP_TYPES)}") from None
-    u = _restore_node(document["u"])
-    v = _restore_node(document["v"])
+    u = node_from_json(document["u"], "u")
+    v = node_from_json(document["v"], "v")
     if op_type is EdgeDelete:
         return EdgeDelete(u, v)
     return op_type(u, v, float(document["weight"]))

@@ -442,7 +442,14 @@ def csr_snapshot(graph: Graph) -> CSRGraph:
     Compiling is O(n + m); a cache hit is two attribute reads.  The snapshot
     stays valid across ``add_node``/``add_edge`` (the graph appends into it
     incrementally) and is recompiled after removals or weight overwrites.
+    Anything but a :class:`Graph` (a view, a test double) raises
+    :class:`TypeError`: the oracles, verification and adversarial search
+    all run on this snapshot and have no other code path.
     """
+    if not isinstance(graph, Graph):
+        raise TypeError(
+            f"expected a Graph, got {type(graph).__name__}; "
+            "materialize() a graph view first")
     cache = graph._csr_cache
     if cache is not None and cache.graph_version == graph.version:
         return cache

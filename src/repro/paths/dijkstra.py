@@ -3,16 +3,16 @@
 The FT greedy algorithm asks one question over and over: *is the distance from
 ``u`` to ``v`` in ``H \\ F`` larger than ``k · w(u, v)``?*  Answering it does
 not require the full shortest-path tree — :func:`bounded_distance` stops as
-soon as the target is settled or the budget is exceeded, and is the routine
-every oracle in :mod:`repro.spanners.fault_check` calls.
+soon as the target is settled or the budget is exceeded.  (The oracles in
+:mod:`repro.spanners.fault_check` call the CSR kernels directly.)
 
 All functions take a graph-like object exposing ``nodes()``, ``neighbors()``,
 ``adjacency()`` and ``has_node()`` — i.e. either :class:`repro.graph.Graph`
 or :class:`repro.graph.ExclusionView`.  Plain :class:`Graph` inputs are
 dispatched to the array-native kernels in :mod:`repro.paths.kernels` over a
 compiled CSR snapshot (cached per graph, keyed on :attr:`Graph.version`);
-views and other duck-typed graphs fall back to the dict-based reference
-implementations below, which the kernels mirror result-for-result.
+views run the dict-based implementations below, which the kernels mirror
+result-for-result and the tests use as the independent reference.
 """
 
 from __future__ import annotations

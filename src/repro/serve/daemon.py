@@ -194,10 +194,14 @@ class ServingDaemon:
         return self.host, self.port
 
     def request_drain(self) -> None:
-        """Trigger :meth:`drain` from any thread."""
-        if self._loop is not None:
+        """Trigger :meth:`drain` from any thread (a no-op once the loop closed)."""
+        if self._loop is None:
+            return
+        try:
             self._loop.call_soon_threadsafe(
                 lambda: asyncio.ensure_future(self.drain()))
+        except RuntimeError:
+            pass  # asyncio.run already closed the loop: nothing left to drain
 
     # ------------------------------------------------------------ connections
     async def _on_connection(self, reader: asyncio.StreamReader,

@@ -50,9 +50,8 @@ import math
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.dynamic.updates import UpdateError, update_from_json
+from repro.dynamic.updates import UpdateError, node_from_json, update_from_json
 from repro.faults.models import get_fault_model
-from repro.graph.io import _restore_node
 
 __all__ = [
     "RequestError",
@@ -94,9 +93,15 @@ def from_wire_distance(value: Optional[float]) -> float:
 # Payload parsing
 # ---------------------------------------------------------------------------
 
-def _parse_node(value: Any) -> Any:
-    """Restore one node label from its JSON form (lists become tuples)."""
-    return _restore_node(value)
+def _parse_node(value: Any, field: str) -> Any:
+    """Restore one node label from its JSON form (lists become tuples).
+
+    A JSON boolean is a 400 naming ``field``, never node ``0``/``1``.
+    """
+    try:
+        return node_from_json(value, field)
+    except UpdateError as error:
+        raise RequestError(str(error)) from None
 
 
 def parse_faults(value: Any, fault_model: str) -> Tuple:
@@ -106,14 +111,16 @@ def parse_faults(value: Any, fault_model: str) -> Tuple:
     if not isinstance(value, (list, tuple)):
         raise RequestError(f"faults must be a list, got {type(value).__name__}")
     faults = []
-    for element in value:
+    for position, element in enumerate(value):
+        field = f"faults[{position}]"
         if fault_model == "edge":
             if not isinstance(element, (list, tuple)) or len(element) != 2:
                 raise RequestError(
                     f"edge fault {element!r} must be a [u, v] pair")
-            faults.append((_parse_node(element[0]), _parse_node(element[1])))
+            faults.append((_parse_node(element[0], f"{field}[0]"),
+                           _parse_node(element[1], f"{field}[1]")))
         else:
-            faults.append(_parse_node(element))
+            faults.append(_parse_node(element, field))
     return tuple(faults)
 
 
@@ -129,11 +136,13 @@ def parse_query(payload: Any, fault_model: str) -> Tuple[Any, Any, Tuple]:
         missing = [key for key in ("source", "target") if key not in payload]
         if missing:
             raise RequestError(f"query is missing {', '.join(missing)}")
-        return (_parse_node(payload["source"]), _parse_node(payload["target"]),
+        return (_parse_node(payload["source"], "source"),
+                _parse_node(payload["target"], "target"),
                 parse_faults(payload.get("faults"), fault_model))
     if isinstance(payload, (list, tuple)) and len(payload) in (2, 3):
         faults = payload[2] if len(payload) == 3 else ()
-        return (_parse_node(payload[0]), _parse_node(payload[1]),
+        return (_parse_node(payload[0], "source"),
+                _parse_node(payload[1], "target"),
                 parse_faults(faults, fault_model))
     raise RequestError(
         "query must be {source, target, faults?} or [source, target, faults?]")

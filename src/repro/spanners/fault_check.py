@@ -40,28 +40,25 @@ All oracles return either a canonical fault set ``F`` witnessing the distance
 blow-up, or ``None`` when no such set exists (or was found, for the
 heuristic).
 
-When the queried graph is a plain :class:`~repro.graph.core.Graph` (always
-the case inside the greedy driver, where it is the growing spanner ``H``),
-every oracle runs on the compiled CSR snapshot with *fault masks*: trying a
-candidate fault set is a few byte writes on a mask instead of building an
-:class:`ExclusionView`, and the distance query itself runs the array-native
-kernels.  Duck-typed graphs (views, test doubles) fall back to the original
-view-based implementations, which the mask path mirrors decision-for-decision.
+Every oracle takes a :class:`~repro.graph.core.Graph` (inside the greedy
+driver, the growing spanner ``H``) and runs on its compiled CSR snapshot
+with *fault masks*: trying a candidate fault set is a few byte writes on a
+mask, and the distance query itself runs the array-native kernels.  Other
+graph-like objects (views, test doubles) raise :class:`TypeError`; call
+``materialize()`` on a view first.  ``tests/reference.py`` keeps the
+view-based dict-Dijkstra searches the mask path is tested against.
 """
 
 from __future__ import annotations
 
-import math
 from abc import ABC, abstractmethod
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Mapping, Optional, Tuple
 
 from repro.faults.enumeration import enumerate_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
-from repro.graph.views import ExclusionView
 from repro.obs.metrics import MetricsRegistry, component_registry, get_registry
-from repro.paths.dijkstra import bounded_distance, bounded_path
 from repro.paths.registry import KernelLike, get_kernels
 
 #: Screen outcomes that resolved the query without the exact search.
@@ -246,41 +243,35 @@ class FaultCheckOracle(ABC):
         #: Kernel backend answering the CSR distance queries (auto if None).
         self.kernels = get_kernels(kernel)
 
-    @abstractmethod
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
+    def find_breaking_fault_set(self, graph: Graph, source: Node, target: Node,
                                 budget: float, max_faults: int,
                                 fault_model: "str | FaultModel") -> Optional[FaultSet]:
         """Return ``F`` with ``|F| ≤ max_faults`` and ``dist_{graph\\F}(source, target) > budget``.
 
         Returns ``None`` if no such set exists (exact oracles) or none was
         found (heuristic oracles).  The distance comparison treats
-        unreachability as ``inf > budget``.
+        unreachability as ``inf > budget``.  Runs
+        :meth:`find_breaking_fault_set_csr` on ``graph``'s cached snapshot;
+        a non-:class:`Graph` argument raises :class:`TypeError`.
         """
+        return self.find_breaking_fault_set_csr(
+            csr_snapshot(graph), source, target, budget, max_faults,
+            get_fault_model(fault_model))
 
+    @abstractmethod
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
                                     fault_model: "str | FaultModel",
                                     candidates: Optional[List] = None) -> Optional[FaultSet]:
-        """CSR-native twin of :meth:`find_breaking_fault_set`.
+        """:meth:`find_breaking_fault_set` on a compiled snapshot.
 
-        Operates directly on a compiled snapshot, so the check can run in a
-        worker process that only received the (picklable) CSR — this is what
-        the parallel FT-greedy build ships through :mod:`repro.runtime`.
-        ``candidates`` optionally pins the enumeration order of the faultable
-        elements (only the exhaustive oracle consults it); oracles without a
-        CSR implementation raise ``NotImplementedError`` so the parallel
-        driver can refuse them up front.
+        Needs no :class:`Graph`, so the check can run in a worker process
+        that only received the (picklable) CSR — this is what the parallel
+        FT-greedy build ships through :mod:`repro.runtime`.  ``candidates``
+        optionally pins the enumeration order of the faultable elements
+        (only the exhaustive oracle consults it).
         """
-        raise NotImplementedError(
-            f"{type(self).__name__} has no CSR fault-check implementation")
-
-    # ------------------------------------------------------------------ utils
-    def _distance_exceeds(self, graph, source: Node, target: Node,
-                          budget: float) -> bool:
-        """Whether the (possibly faulted view) distance already exceeds the budget."""
-        self.stats.count_distance_query()
-        return bounded_distance(graph, source, target, budget) > budget
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__}>"
@@ -296,24 +287,17 @@ class ExhaustiveOracle(FaultCheckOracle):
     name = "exhaustive"
     exact = True
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
+    def find_breaking_fault_set(self, graph: Graph, source: Node, target: Node,
                                 budget: float, max_faults: int,
                                 fault_model: "str | FaultModel") -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
-        elements = model.candidate_elements(graph, source, target)
-        if isinstance(graph, Graph):
-            # Candidates come from the *graph* so the enumeration order (and
-            # hence which witness a tie returns) is identical to the
-            # pre-kernel implementation.
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults,
-                model, candidates=elements)
-        self.stats.count_query()
-        for faults in enumerate_fault_sets(elements, max_faults):
-            view = model.apply(graph, faults)
-            if self._distance_exceeds(view, source, target, budget):
-                return model.canonical(faults)
-        return None
+        csr = csr_snapshot(graph)
+        # Candidates come from the *graph*: Graph.edges() order can differ
+        # from the snapshot's edge-id order after incremental appends, and
+        # the enumeration order decides which witness a tie returns.
+        return self.find_breaking_fault_set_csr(
+            csr, source, target, budget, max_faults, model,
+            candidates=model.candidate_elements(graph, source, target))
 
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
@@ -365,17 +349,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
     name = "branch-and-bound"
     exact = True
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        model = get_fault_model(fault_model)
-        if isinstance(graph, Graph):
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults, model)
-        self.stats.count_query()
-        found = self._search(graph, source, target, budget, max_faults, model, [])
-        return model.canonical(found) if found is not None else None
-
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
@@ -397,7 +370,7 @@ class BranchAndBoundOracle(FaultCheckOracle):
                     s: Optional[int], t: Optional[int], budget: float,
                     remaining: int, model: FaultModel,
                     current: List, mask: bytearray) -> Optional[List]:
-        """Mask-based twin of :meth:`_search`: branch = one byte write."""
+        """One search-tree node; branching on an element is one byte write."""
         self.stats.count_nodes_expanded()
         self.stats.count_distance_query()
         if s is None or t is None:
@@ -411,7 +384,15 @@ class BranchAndBoundOracle(FaultCheckOracle):
         if remaining == 0:
             return None
         node_of = csr.node_of
-        path = [node_of[index] for index in index_path]
+        return self._branch(csr, source, target, s, t, budget, remaining,
+                            model, current, mask, backend,
+                            [node_of[index] for index in index_path])
+
+    def _branch(self, csr: CSRGraph, source: Node, target: Node, s: int,
+                t: int, budget: float, remaining: int, model: FaultModel,
+                current: List, mask: bytearray, backend,
+                path: List[Node]) -> Optional[List]:
+        """Try each faultable element of the short ``path`` as the next fault."""
         elements = self._path_elements(path, source, target, model)
         if (remaining == 1 and len(elements) > 1
                 and backend.multi_source_multi_target is not None):
@@ -464,26 +445,6 @@ class BranchAndBoundOracle(FaultCheckOracle):
             self.stats.count_distance_query()
             if answers[row][0] > budget:
                 return current + [element]
-        return None
-
-    def _search(self, graph, source: Node, target: Node, budget: float,
-                remaining: int, model: FaultModel,
-                current: List) -> Optional[List]:
-        self.stats.count_nodes_expanded()
-        view = model.apply(graph, current) if current else graph
-        self.stats.count_distance_query()
-        distance, path = bounded_path(view, source, target, budget)
-        if distance > budget:
-            return list(current)
-        if remaining == 0:
-            return None
-        for element in self._path_elements(path, source, target, model):
-            current.append(element)
-            result = self._search(graph, source, target, budget,
-                                  remaining - 1, model, current)
-            current.pop()
-            if result is not None:
-                return result
         return None
 
     @staticmethod
@@ -555,21 +516,6 @@ class TieredOracle(BranchAndBoundOracle):
         # tracked and cleared, so masking costs O(elements), not O(n)).
         self._scratch: Optional[bytearray] = None
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        model = get_fault_model(fault_model)
-        if isinstance(graph, Graph):
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults, model)
-        # Duck-typed graphs have no snapshot to screen against; hand the
-        # whole query to the view-based exact search.
-        self.stats.count_query()
-        self.stats.count_screen("fallthrough")
-        self.stats.count_exact()
-        found = self._search(graph, source, target, budget, max_faults, model, [])
-        return model.canonical(found) if found is not None else None
-
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
@@ -623,8 +569,20 @@ class TieredOracle(BranchAndBoundOracle):
             return None
         self.stats.count_screen("fallthrough")
         self.stats.count_exact()
-        found = self._exact_from_root(csr, source, target, s, t, budget,
-                                      max_faults, model, root_path)
+        mask = model.new_mask(csr)
+        if root_path is None:
+            # The root distance came from the cached SSSP vector (no path);
+            # this is the one fallthrough shape that pays the root twice.
+            found = self._search_csr(csr, source, target, s, t, budget,
+                                     max_faults, model, [], mask)
+        else:
+            # The exact search's root node, minus its unfaulted query (the
+            # root query above already answered it, <= budget): branch on
+            # the root path exactly as the plain exact oracle would.
+            self.stats.count_nodes_expanded()
+            found = self._branch(csr, source, target, s, t, budget,
+                                 max_faults, model, [], mask,
+                                 self.kernels.resolve(csr), root_path)
         if found:
             self._recent_witness = list(found)
         return model.canonical(found) if found is not None else None
@@ -661,45 +619,6 @@ class TieredOracle(BranchAndBoundOracle):
             csr, s, t, budget, None, None)
         node_of = csr.node_of
         return distance, [node_of[index] for index in index_path]
-
-    def _exact_from_root(self, csr: CSRGraph, source: Node, target: Node,
-                         s: int, t: int, budget: float, max_faults: int,
-                         model: FaultModel,
-                         root_path: Optional[List[Node]]) -> Optional[List]:
-        """The exact branch-and-bound search, root query already answered.
-
-        Replays :meth:`BranchAndBoundOracle._search_csr`'s root node without
-        re-issuing its (deterministic, already screened ``<= budget``)
-        unfaulted query — the caller holds the distance and, unless it came
-        from the warm cache, the path.  Children recurse through the
-        inherited ``_search_csr`` unchanged, so the found fault set is
-        byte-identical to the plain exact oracle's.
-        """
-        mask = model.new_mask(csr)
-        if root_path is None:
-            # The root distance came from the cached SSSP vector (no path);
-            # this is the one fallthrough shape that pays the root twice.
-            return self._search_csr(csr, source, target, s, t, budget,
-                                    max_faults, model, [], mask)
-        self.stats.count_nodes_expanded()
-        backend = self.kernels.resolve(csr)
-        elements = self._path_elements(root_path, source, target, model)
-        if (max_faults == 1 and len(elements) > 1
-                and backend.multi_source_multi_target is not None):
-            return self._fused_leaf_search(csr, s, t, budget, model, elements,
-                                           [], mask, backend)
-        current: List = []
-        for element in elements:
-            index = model.mask_indices(csr, (element,))[0]
-            current.append(element)
-            mask[index] = 1
-            result = self._search_csr(csr, source, target, s, t, budget,
-                                      max_faults - 1, model, current, mask)
-            mask[index] = 0
-            current.pop()
-            if result is not None:
-                return result
-        return None
 
     def _scratch_mask(self, csr: CSRGraph, model: FaultModel) -> bytearray:
         width = csr.num_nodes if model.uses_vertex_mask else csr.num_edges
@@ -806,37 +725,13 @@ class GreedyPathPackingOracle(FaultCheckOracle):
     name = "greedy-path-packing"
     exact = False
 
-    def find_breaking_fault_set(self, graph, source: Node, target: Node,
-                                budget: float, max_faults: int,
-                                fault_model: "str | FaultModel") -> Optional[FaultSet]:
-        model = get_fault_model(fault_model)
-        if isinstance(graph, Graph):
-            return self.find_breaking_fault_set_csr(
-                csr_snapshot(graph), source, target, budget, max_faults, model)
-        self.stats.count_query()
-        chosen: List = []
-        for _ in range(max_faults + 1):
-            view = model.apply(graph, chosen) if chosen else graph
-            self.stats.count_distance_query()
-            distance, path = bounded_path(view, source, target, budget)
-            if distance > budget:
-                return model.canonical(chosen)
-            if len(chosen) >= max_faults:
-                return None
-            elements = BranchAndBoundOracle._path_elements(path, source, target, model)
-            if not elements:
-                # The short path has no faultable element (e.g. a direct edge
-                # under vertex faults): no fault set can break this pair.
-                return None
-            chosen.append(elements[len(elements) // 2])
-        return None
-
     def find_breaking_fault_set_csr(self, csr: CSRGraph, source: Node,
                                     target: Node, budget: float,
                                     max_faults: int,
                                     fault_model: "str | FaultModel",
                                     candidates: Optional[List] = None) -> Optional[FaultSet]:
-        """Mask-based twin of the view loop above (``candidates`` ignored)."""
+        # ``candidates`` is ignored: the faulted elements come from the
+        # successive short paths.
         model = get_fault_model(fault_model)
         self.stats.count_query()
         s = csr.index_of.get(source)

@@ -23,18 +23,16 @@ property-style for both fault models.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Tuple
 
-from repro.faults.adversarial import stretch_between_csr, stretch_under_faults
+from repro.faults.adversarial import stretch_between_csr
 from repro.faults.enumeration import count_fault_sets, enumerate_fault_sets, sample_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node
 from repro.graph.csr import CSRGraph, csr_snapshot
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
-from repro.paths.dijkstra import dijkstra_distances
 from repro.paths.registry import KernelLike, get_kernels
 from repro.runtime.backend import BackendLike, get_backend
 from repro.runtime.merge import ChunkVerdict, merge_verdicts
@@ -43,8 +41,6 @@ from repro.runtime.shard import chunk_size_for, iter_chunks, split_sequence
 #: Relative slack on every stretch comparison, absorbing float noise in the
 #: distance sums.  The CLI reuses this so its verdicts match the library's.
 STRETCH_TOLERANCE = 1e-9
-
-_RELATIVE_TOLERANCE = STRETCH_TOLERANCE
 
 # Verification counters on the process registry.  ``fault_sets_checked``
 # counts the serial prefix (the merge rule above), so serial and parallel
@@ -101,41 +97,27 @@ def stretch_of(original: Graph, subgraph: Graph,
     else:
         sources = list(original.nodes())
 
-    if isinstance(original, Graph) and isinstance(subgraph, Graph):
-        # APSP sweep over the cached CSR snapshots: per source two kernel
-        # runs and one pass over the settled indices — no per-source dicts.
-        for source in sources:
-            if not original.has_node(source):
-                raise ValueError(f"source {source!r} not in graph")
-        resolved = get_backend(backend, workers)
-        context = _SweepContext(
-            csr_g=csr_snapshot(original), csr_h=csr_snapshot(subgraph),
-            restrict=(None if restrict is None else
-                      {node: frozenset(targets)
-                       for node, targets in restrict.items()}),
-            kernel=get_kernels(kernel).name,
-        )
-        worst = 1.0
-        for chunk_worst in resolved.map(_sweep_chunk,
-                                        split_sequence(sources, resolved.workers),
-                                        context=context,
-                                        metrics=get_registry()):
-            if chunk_worst > worst:
-                worst = chunk_worst
-        return worst
-
-    worst = 1.0
+    # APSP sweep over the cached CSR snapshots: per source two kernel runs
+    # and one pass over the settled indices — no per-source dicts.
+    csr_g, csr_h = csr_snapshot(original), csr_snapshot(subgraph)
     for source in sources:
-        base = dijkstra_distances(original, source)
-        sub = dijkstra_distances(subgraph, source) if subgraph.has_node(source) else {}
-        for target, base_distance in base.items():
-            if target == source or base_distance == 0:
-                continue
-            if restrict is not None and target not in restrict.get(source, ()):
-                continue
-            ratio = sub.get(target, math.inf) / base_distance
-            if ratio > worst:
-                worst = ratio
+        if not original.has_node(source):
+            raise ValueError(f"source {source!r} not in graph")
+    resolved = get_backend(backend, workers)
+    context = _SweepContext(
+        csr_g=csr_g, csr_h=csr_h,
+        restrict=(None if restrict is None else
+                  {node: frozenset(targets)
+                   for node, targets in restrict.items()}),
+        kernel=get_kernels(kernel).name,
+    )
+    worst = 1.0
+    for chunk_worst in resolved.map(_sweep_chunk,
+                                    split_sequence(sources, resolved.workers),
+                                    context=context,
+                                    metrics=get_registry()):
+        if chunk_worst > worst:
+            worst = chunk_worst
     return worst
 
 
@@ -145,7 +127,7 @@ def is_spanner(original: Graph, subgraph: Graph, stretch: float,
     """Definition 1: whether ``subgraph`` is a ``stretch``-spanner of ``original``."""
     return (stretch_of(original, subgraph, workers=workers, backend=backend,
                        kernel=kernel)
-            <= stretch * (1.0 + _RELATIVE_TOLERANCE))
+            <= stretch * (1.0 + STRETCH_TOLERANCE))
 
 
 @dataclass
@@ -259,37 +241,23 @@ def is_ft_spanner(original: Graph, subgraph: Graph, stretch: float, max_faults: 
         total = len(candidates)
         exhaustive = False
 
-    threshold = stretch * (1.0 + _RELATIVE_TOLERANCE)
+    threshold = stretch * (1.0 + STRETCH_TOLERANCE)
 
-    _VERIFY_RUNS.inc()
     with get_tracer().span("verify.is_ft_spanner", method=method,
                            max_faults=max_faults, workers=workers) as span:
-        if isinstance(original, Graph) and isinstance(subgraph, Graph):
-            resolved = get_backend(backend, workers)
-            context = _VerifyContext(csr_g=csr_snapshot(original),
-                                     csr_h=csr_snapshot(subgraph),
-                                     fault_model=model.name, threshold=threshold,
-                                     kernel=get_kernels(kernel).name)
-            chunks = iter_chunks(candidates,
-                                 chunk_size_for(total, resolved.workers))
-            verdict = merge_verdicts(
-                resolved.imap(_verify_chunk, chunks, context=context,
-                              metrics=get_registry()))
-            worst, checked = verdict.worst, verdict.checked
-            violating = verdict.witness
-        else:
-            # Graph views have no CSR snapshot to ship; keep the plain scan.
-            worst = 1.0
-            checked = 0
-            violating = None
-            for faults in candidates:
-                checked += 1
-                value = stretch_under_faults(original, subgraph, model, faults)
-                if value > worst:
-                    worst = value
-                if value > threshold:
-                    violating = model.canonical(faults)
-                    break
+        context = _VerifyContext(csr_g=csr_snapshot(original),
+                                 csr_h=csr_snapshot(subgraph),
+                                 fault_model=model.name, threshold=threshold,
+                                 kernel=get_kernels(kernel).name)
+        _VERIFY_RUNS.inc()
+        resolved = get_backend(backend, workers)
+        chunks = iter_chunks(candidates,
+                             chunk_size_for(total, resolved.workers))
+        verdict = merge_verdicts(
+            resolved.imap(_verify_chunk, chunks, context=context,
+                          metrics=get_registry()))
+        worst, checked = verdict.worst, verdict.checked
+        violating = verdict.witness
         _VERIFY_CHECKED.inc(checked)
         if violating is not None:
             _VERIFY_VIOLATIONS.inc()

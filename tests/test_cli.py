@@ -1,6 +1,10 @@
 """Tests for the command-line interface."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
 
 import pytest
 
@@ -257,6 +261,57 @@ class TestServeAndQueryCommands:
         document = json.loads(capsys.readouterr().out)
         assert document["reachable"] is True
         assert document["distance"] is not None
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="POSIX signals")
+class TestDaemonCommand:
+    @staticmethod
+    def _snapshot(graph_file, tmp_path):
+        path, _ = graph_file
+        snap = tmp_path / "snap.json"
+        assert main(["build", str(path), "-o", str(tmp_path / "h.json"),
+                     "-f", "1", "--save-snapshot", str(snap)]) == 0
+        return snap
+
+    def test_signal_handlers_precede_listening_line(self, graph_file,
+                                                    tmp_path, monkeypatch):
+        import repro.cli
+
+        snap = self._snapshot(graph_file, tmp_path)
+        default = signal.getsignal(signal.SIGTERM)
+
+        def spy(*args, **kwargs):
+            if str(args[0]).startswith("daemon listening"):
+                # Supervisors may signal the moment they read this line.
+                assert signal.getsignal(signal.SIGTERM) is not default
+                os.kill(os.getpid(), signal.SIGTERM)  # drains, not kills
+
+        monkeypatch.setattr(repro.cli, "print", spy, raising=False)
+        assert main(["daemon", str(snap), "--port", "0"]) == 0
+        assert signal.getsignal(signal.SIGTERM) is default
+
+    def test_sigterm_right_after_listening_line_drains(self, graph_file,
+                                                       tmp_path):
+        snap = self._snapshot(graph_file, tmp_path)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.path.join(
+            os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+        process = subprocess.Popen(
+            [sys.executable, "-m", "repro", "daemon", str(snap), "--port", "0"],
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
+            env=env)
+        try:
+            first = process.stdout.readline()
+            assert first.startswith("daemon listening on http://"), first
+            # The signal handlers must already be installed at this point.
+            process.send_signal(signal.SIGTERM)
+            rest, _ = process.communicate(timeout=60)
+        finally:
+            if process.poll() is None:
+                process.kill()
+                process.communicate()
+        assert process.returncode == 0, rest
+        assert "daemon drained cleanly" in rest
 
 
 class TestUpdateAndReplayCommands:

@@ -29,8 +29,11 @@ from repro.spanners.fault_check import (
     BranchAndBoundOracle,
     ExhaustiveOracle,
     GreedyPathPackingOracle,
+    TieredOracle,
 )
 from repro.utils.rng import RandomSource
+
+import reference
 
 SETTINGS = settings(max_examples=40, deadline=None,
                     suppress_health_check=[HealthCheck.too_slow])
@@ -252,27 +255,35 @@ def test_bfs_kernels_match_view_reference(instance):
 
 
 # --------------------------------------------------------------------------
-# Oracles: CSR mask path vs view fallback path
+# Oracles: CSR mask path vs the view-based searches in tests/reference.py
 # --------------------------------------------------------------------------
 
-@SETTINGS
+_VIEW_TWINS = {
+    ExhaustiveOracle: reference.exhaustive_search,
+    BranchAndBoundOracle: reference.branch_and_bound_search,
+    TieredOracle: reference.branch_and_bound_search,
+    GreedyPathPackingOracle: reference.path_packing_search,
+}
+
+
+# Witness ties that only the branch order decides are rare on 8-node graphs,
+# so this test draws more examples than SETTINGS.
+@settings(SETTINGS, max_examples=300)
 @given(masked_instances(max_nodes=8),
        st.integers(min_value=0, max_value=2),
-       st.sampled_from(["vertex", "edge"]),
-       st.sampled_from([ExhaustiveOracle, BranchAndBoundOracle,
-                        GreedyPathPackingOracle]))
-def test_oracles_agree_between_csr_and_view_paths(instance, faults, model, oracle_cls):
+       st.sampled_from(["vertex", "edge"]))
+def test_oracles_agree_between_csr_and_view_paths(instance, faults, model):
     graph, _, _, source, target, budget = instance
     if source == target:
         return
-    if oracle_cls is ExhaustiveOracle and faults > 1:
-        faults = 1  # keep the ground-truth oracle affordable
-    csr_result = oracle_cls().find_breaking_fault_set(
-        graph, source, target, budget, faults, model)
-    # An exclusion-free view forces the legacy view-based implementation.
-    view_result = oracle_cls().find_breaking_fault_set(
-        ExclusionView(graph), source, target, budget, faults, model)
-    assert csr_result == view_result
+    for oracle_cls, view_twin in _VIEW_TWINS.items():
+        # Keep the ground-truth oracle affordable.
+        max_faults = min(faults, 1) if oracle_cls is ExhaustiveOracle else faults
+        csr_result = oracle_cls().find_breaking_fault_set(
+            graph, source, target, budget, max_faults, model)
+        view_result = view_twin(graph, source, target, budget, max_faults,
+                                model)
+        assert csr_result == view_result, oracle_cls.name
 
 
 # --------------------------------------------------------------------------

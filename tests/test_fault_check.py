@@ -7,6 +7,7 @@ import pytest
 from repro.faults.models import get_fault_model
 from repro.graph import generators
 from repro.graph.core import Graph
+from repro.graph.views import ExclusionView
 from repro.paths.dijkstra import bounded_distance
 from repro.spanners.fault_check import (
     SCREEN_RESOLVED_OUTCOMES,
@@ -50,6 +51,14 @@ class TestOracleResolution:
         assert ExhaustiveOracle.exact
         assert BranchAndBoundOracle.exact
         assert not GreedyPathPackingOracle.exact
+
+    @pytest.mark.parametrize("name", ["exhaustive", "branch-and-bound",
+                                      "tiered", "greedy-path-packing"])
+    def test_graph_views_are_rejected(self, triangle, name):
+        # Oracles run only on CSR snapshots; a view must be materialized.
+        with pytest.raises(TypeError, match="materialize"):
+            get_oracle(name).find_breaking_fault_set(
+                ExclusionView(triangle), 0, 1, 3.0, 1, "vertex")
 
 
 class TestSimpleInstances:

@@ -225,3 +225,12 @@ class TestAdversarialSearch:
                                     trials=5, rng=rng)
         assert len(values) == 5
         assert all(value == 1.0 for value in values)
+
+    def test_graph_views_are_rejected(self, triangle):
+        view = VERTEX_FAULTS.apply(triangle, [])
+        with pytest.raises(TypeError, match="materialize"):
+            stretch_under_faults(triangle, view, "vertex", [])
+        with pytest.raises(TypeError, match="materialize"):
+            worst_case_fault_set(view, triangle, "vertex", 1)
+        with pytest.raises(TypeError, match="materialize"):
+            random_fault_trial(triangle, view, "vertex", 1, trials=3, rng=0)

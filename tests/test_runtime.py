@@ -14,7 +14,6 @@ import pytest
 from repro.faults.adversarial import (
     random_fault_trial,
     stretch_between_csr,
-    stretch_under_faults,
     worst_case_fault_set,
 )
 from repro.faults.models import get_fault_model
@@ -37,6 +36,8 @@ from repro.runtime import (
 from repro.spanners.ft_greedy import ft_greedy_spanner
 from repro.spanners.greedy import greedy_spanner
 from repro.spanners.verify import is_ft_spanner, stretch_of
+
+import reference
 
 
 def _double(context, chunk):
@@ -275,9 +276,8 @@ class TestParallelVerification:
         faults = [nodes[3], nodes[7]]
         value = stretch_between_csr(csr_snapshot(graph), csr_snapshot(ft),
                                     model, faults)
-        reference = stretch_under_faults(model.apply(graph, faults),
-                                         model.apply(ft, faults), model, [])
-        assert value == pytest.approx(reference)
+        expected = reference.stretch_under_faults(graph, ft, model, faults)
+        assert value == pytest.approx(expected)
 
 
 class TestParallelAdversarial:

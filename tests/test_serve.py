@@ -26,6 +26,7 @@ import http.client
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import threading
@@ -400,6 +401,38 @@ class TestDispatch:
                         {"updates": [{"op": "explode", "u": 0, "v": 1}]}):
             with pytest.raises(RequestError):
                 self._dispatch(FakeCore(writable=True), "update", payload)
+
+    def test_boolean_node_labels_are_rejected(self):
+        # JSON true/false would otherwise be read as nodes 1/0.
+        cases = [
+            ("distance", {"source": True, "target": 1}, "source"),
+            ("distance", [0, False], "target"),
+            ("connectivity", {"source": 0, "target": [True, 2]}, "target"),
+            ("distance", {"source": 0, "target": 3, "faults": [1, True]},
+             "faults[1]"),
+            ("distances_batch", {"queries": [[0, 3], [0, 3, [False]]]},
+             "faults[0]"),
+        ]
+        for verb, payload, field in cases:
+            pattern = rf"^{re.escape(field)} must be a node label"
+            with pytest.raises(RequestError, match=pattern) as excinfo:
+                self._dispatch(FakeCore(), verb, payload)
+            assert excinfo.value.status == 400
+
+    def test_boolean_update_endpoints_are_rejected(self):
+        core = FakeCore(writable=True)
+        for op in ({"op": "insert", "u": True, "v": 4, "weight": 1.0},
+                   {"op": "delete", "u": 0, "v": [False, 1]}):
+            field = "u" if op["u"] is True else "v"
+            with pytest.raises(RequestError,
+                               match=f"{field} must be a node label") as excinfo:
+                self._dispatch(core, "update", {"updates": [op]})
+            assert excinfo.value.status == 400
+        assert core.applied == []  # nothing reached the journal
+
+    def test_edge_fault_boolean_endpoint_is_rejected(self):
+        with pytest.raises(RequestError, match=r"^faults\[0\]\[1\] must be"):
+            parse_faults([[0, True]], "edge")
 
     def test_dispatch_sync_runs_without_a_loop(self):
         document = dispatch_sync(FakeCore(), "distance",

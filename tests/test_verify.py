@@ -6,6 +6,7 @@ import pytest
 
 from repro.graph import generators
 from repro.graph.core import Graph
+from repro.graph.views import ExclusionView
 from repro.spanners.ft_greedy import ft_greedy_spanner
 from repro.spanners.greedy import greedy_spanner
 from repro.spanners.verify import FTVerificationReport, is_ft_spanner, is_spanner, stretch_of
@@ -37,6 +38,12 @@ class TestStretchOf:
     def test_trivial_graphs(self):
         assert stretch_of(Graph(), Graph()) == 1.0
         assert stretch_of(Graph(nodes=[0]), Graph(nodes=[0])) == 1.0
+
+    def test_graph_views_are_rejected(self, triangle):
+        with pytest.raises(TypeError, match="materialize"):
+            stretch_of(triangle, ExclusionView(triangle))
+        with pytest.raises(TypeError, match="materialize"):
+            is_ft_spanner(ExclusionView(triangle), triangle, 3, 1)
 
 
 class TestIsSpanner:
