@@ -144,7 +144,9 @@ def record_dynamic(path=None, *, quick: bool = False) -> dict:
             fault_model, method="sampled", samples=60, rng=0)
         assert rebuilt_report.ok, "rebuild baseline failed certification"
 
-        incremental_per_update = maintainer.maintenance_seconds / len(updates)
+        maintenance = maintainer.stats()
+        incremental_per_update = (maintenance["maintenance_seconds"]
+                                  / len(updates))
         rebuild_per_update = sum(rebuild_seconds) / len(rebuild_seconds)
         report["cases"].append({
             "fault_model": fault_model,
@@ -159,9 +161,8 @@ def record_dynamic(path=None, *, quick: bool = False) -> dict:
             "wall_s_with_queries": round(wall_s, 3),
             "queries_per_second": round(queries / wall_s, 0) if wall_s else 0,
             "cache_invalidations": live.cache_invalidations,
-            "repairs": maintainer.repairs,
-            "dirty_selectivity": round(
-                maintainer.stats()["dirty_selectivity"], 3),
+            "repairs": maintenance["repairs"],
+            "dirty_selectivity": round(maintenance["dirty_selectivity"], 3),
             "maintained_edges": maintainer.spanner.number_of_edges(),
             "rebuilt_edges": rebuilt.spanner.number_of_edges(),
             "size_vs_rebuild": round(

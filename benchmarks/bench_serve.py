@@ -110,12 +110,13 @@ def _drive(snapshot, triples, *, clients: int, window_ms: float):
     wall = time.perf_counter() - started
     daemon.request_drain()
     thread.join(timeout=15)
-    window = core.window
+    window = core.stats()["coalesce"]
     stats = {
-        "requests": window.requests_coalesced,
-        "engine_batches": window.batches_flushed,
+        "requests": window["requests_coalesced"],
+        "engine_batches": window["batches_flushed"],
         "mean_batch_occupancy": round(
-            window.requests_coalesced / max(1, window.batches_flushed), 2),
+            window["requests_coalesced"] / max(1, window["batches_flushed"]),
+            2),
         "kernel_calls": engine.stats()["kernel_calls"],
     }
     return wall, answers, stats

@@ -8,7 +8,13 @@ Drives the real CLI end to end on a small graph:
    counter attribution;
 3. ``repro-spanner verify --metrics-json`` over the built spanner, asserting
    the required metric families exist in the exported document;
-4. ``repro-spanner stats`` renders the document in all three formats.
+4. ``repro-spanner stats`` renders the document in all three formats;
+5. ``repro-spanner build --oracle tiered --workers 2 --metrics-json``,
+   asserting the exported oracle counters reconcile: the screen outcomes
+   sum to ``oracle.queries``, ``oracle.exact`` equals the fallthroughs, and
+   ``oracle.queries`` is one speculative check per edge plus one per
+   recheck.  A worker count folded twice or lost breaks the last equality
+   (the first two also catch a fold that splits the oracle family).
 
 Leaves ``trace.jsonl`` in the working directory for the CI artifact upload.
 Run: ``PYTHONPATH=src python benchmarks/smoke_observability.py``.
@@ -51,6 +57,26 @@ def run_cli(*argv: str) -> str:
     sys.stderr.write(completed.stderr)
     assert completed.returncode == 0, f"exit {completed.returncode}: {argv}"
     return completed.stdout
+
+
+def check_oracle_reconciles(metrics: dict) -> None:
+    """Every oracle query made exactly one screen decision, every
+    fallthrough one exact search, and the parallel build asked one query
+    per edge in the workers plus one per in-process recheck."""
+    queries = metrics["oracle.queries"]["value"]
+    edges = (metrics["build.oracle_accepts"]["value"]
+             + metrics["build.oracle_rejects"]["value"])
+    rechecks = metrics["build.speculative_rechecks"]["value"]
+    assert queries == edges + rechecks, (queries, edges, rechecks)
+    outcomes = metrics["oracle.screen"].get("children", {})
+    assert set(outcomes) <= {f'outcome="{outcome}"' for outcome
+                             in ("accept", "reject", "fallthrough")}, outcomes
+    assert queries > 0 and sum(outcomes.values()) == queries, \
+        (outcomes, queries)
+    fallthrough = outcomes.get('outcome="fallthrough"', 0)
+    assert metrics["oracle.exact"]["value"] == fallthrough, \
+        (metrics["oracle.exact"], fallthrough)
+    print(f"oracle counters reconcile: {queries} queries, {outcomes}")
 
 
 def main() -> None:
@@ -103,6 +129,13 @@ def main() -> None:
         round_trip = json.loads(run_cli("stats", build_metrics,
                                         "--format", "json"))
         assert round_trip["metrics"] == metrics
+
+        parallel_metrics = str(scratch / "parallel-metrics.json")
+        run_cli("build", graph, "--faults", "1", "--stretch", "3",
+                "--oracle", "tiered", "--workers", "2",
+                "--metrics-json", parallel_metrics)
+        check_oracle_reconciles(
+            load_metrics_json(parallel_metrics)["metrics"])
 
     print(f"observability smoke OK: {len(spans)} span(s), "
           f"{len(metrics)} metric families; trace left at {trace_path}")

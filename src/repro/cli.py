@@ -620,7 +620,7 @@ def _cmd_update(args: argparse.Namespace) -> int:
             algorithm=f"{spec.algorithm}[dynamic]",
             original=maintainer.graph,
             metadata={"build_spec": spec.to_json(),
-                      "updates_applied": maintainer.updates_applied},
+                      "updates_applied": stats["updates_applied"]},
         ).save(args.save_snapshot)
     if args.output:
         save_graph_auto(maintainer.spanner, args.output)

@@ -88,10 +88,11 @@ class LiveEngine:
         a query sees the old spanner with the old cache, or the new spanner
         with a clean one, never a mix.
         """
-        before = self.engine.cache.invalidations
+        before = self.engine.cache.stats()["invalidations"]
         outcome = self.dynamic.apply(update)
         self.engine.cache.sync(self.dynamic.spanner.version)
-        self.cache_invalidations += self.engine.cache.invalidations - before
+        self.cache_invalidations += (self.engine.cache.stats()["invalidations"]
+                                     - before)
         self.updates_applied += 1
         if outcome.spanner_changed:
             self.updates_spanner_changed += 1
@@ -141,5 +142,4 @@ class LiveEngine:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<LiveEngine updates={self.updates_applied} "
-                f"served={self.engine.queries_served} "
                 f"invalidations={self.cache_invalidations}>")

@@ -75,7 +75,6 @@ from repro.obs.metrics import SIZE_BUCKETS, component_registry, get_registry
 from repro.obs.trace import get_tracer
 from repro.paths.registry import get_kernels
 from repro.runtime.backend import ExecutionBackend, get_backend
-from repro.runtime.merge import merge_counters
 from repro.runtime.shard import split_sequence
 from repro.spanners.base import SpannerResult
 from repro.spanners.fault_check import get_oracle
@@ -184,8 +183,8 @@ class DynamicSpanner:
         #: Certification outcomes, in order.
         self.certifications: List[CertificationRecord] = []
         # Maintenance counters live on the maintainer's own registry
-        # (``dynamic.*`` family, attached to the process default); the
-        # historical attribute names stay readable as properties below.
+        # (``dynamic.*`` family, attached to the process default); read
+        # them through stats() or ``metrics.counter_values("dynamic.")``.
         self.metrics = component_registry("dynamic")
         self._updates_applied = self.metrics.counter(
             "dynamic.updates_applied", "updates applied through apply()")
@@ -215,44 +214,6 @@ class DynamicSpanner:
             buckets=SIZE_BUCKETS)
         self._certify_seconds = self.metrics.histogram(
             "dynamic.certify_seconds", "per-certification wall time")
-        self._base_oracle_queries = self.oracle.stats.queries
-        # Oracle work done inside worker processes (their per-process stats
-        # never reach self.oracle.stats) — folded into stats() so parallel
-        # runs report actual speculative work, like the parallel builder.
-        self._worker_counters: Dict[str, float] = {}
-
-    # ----------------------------------------------------- counter thin views
-    @property
-    def updates_applied(self) -> int:
-        return self._updates_applied.value
-
-    @property
-    def incremental_accepts(self) -> int:
-        return self._incremental_accepts.value
-
-    @property
-    def incremental_rejects(self) -> int:
-        return self._incremental_rejects.value
-
-    @property
-    def repairs(self) -> int:
-        return self._repairs.value
-
-    @property
-    def repair_edges_added(self) -> int:
-        return self._repair_edges_added.value
-
-    @property
-    def dirty_candidates_checked(self) -> int:
-        return self._dirty_candidates_checked.value
-
-    @property
-    def dirty_pool_seen(self) -> int:
-        return self._dirty_pool_seen.value
-
-    @property
-    def maintenance_seconds(self) -> float:
-        return self._maintenance_seconds.value
 
     # ------------------------------------------------------------ construction
     @classmethod
@@ -465,15 +426,13 @@ class DynamicSpanner:
         )
         tasks = [(u, v, self.stretch * w) for u, v, w in candidates]
         speculative: List[Optional[FaultSet]] = []
-        registry = get_registry()
         for chunk_found, counters in backend.map(
                 _ft_check_chunk, split_sequence(tasks, backend.workers),
-                context=context, metrics=registry):
+                context=context, metrics=get_registry()):
             speculative.extend(chunk_found)
-            # Same two-target fold as the parallel builder: local tally for
-            # stats(), process registry for the exported oracle totals.
-            merge_counters(self._worker_counters, counters)
-            registry.merge_counters(counters)
+            # As in the parallel builder: the workers' oracle counts join
+            # the maintainer's oracle, the one store stats() reads.
+            self.oracle.metrics.merge_counters(counters)
         added: List[Candidate] = []
         for (u, v, w), fault_set in zip(candidates, speculative):
             if fault_set is None:
@@ -509,7 +468,7 @@ class DynamicSpanner:
         record = CertificationRecord(
             report=report, graph_version=self.graph.version,
             spanner_version=self.spanner.version,
-            updates_applied=self.updates_applied)
+            updates_applied=self._updates_applied.value)
         self.certifications.append(record)
         return record
 
@@ -526,6 +485,9 @@ class DynamicSpanner:
     # ----------------------------------------------------------------- reports
     def stats(self) -> Dict[str, Any]:
         """Flat maintenance report (counters, region selectivity, oracle work)."""
+        counts = self.metrics.counter_values("dynamic.")
+        checked = counts["dirty_candidates_checked"]
+        pool = counts["dirty_pool_seen"]
         return {
             "spec": self.spec.to_json(),
             "graph_nodes": self.graph.number_of_nodes(),
@@ -533,23 +495,20 @@ class DynamicSpanner:
             "spanner_edges": self.spanner.number_of_edges(),
             "graph_version": self.graph.version,
             "spanner_version": self.spanner.version,
-            "updates_applied": self.updates_applied,
+            "updates_applied": counts["updates_applied"],
             "update_counts": self.journal.counts(),
-            "incremental_accepts": self.incremental_accepts,
-            "incremental_rejects": self.incremental_rejects,
-            "repairs": self.repairs,
-            "repair_edges_added": self.repair_edges_added,
-            "dirty_candidates_checked": self.dirty_candidates_checked,
-            "dirty_pool_seen": self.dirty_pool_seen,
-            "dirty_selectivity": (self.dirty_candidates_checked / self.dirty_pool_seen
-                                  if self.dirty_pool_seen else 0.0),
+            "incremental_accepts": counts["incremental_accepts"],
+            "incremental_rejects": counts["incremental_rejects"],
+            "repairs": counts["repairs"],
+            "repair_edges_added": counts["repair_edges_added"],
+            "dirty_candidates_checked": checked,
+            "dirty_pool_seen": pool,
+            "dirty_selectivity": checked / pool if pool else 0.0,
             # Actual (speculative + recheck) work, workers included; unlike
             # the spanner and witnesses this is *not* identical to serial.
-            "oracle_queries": (self.oracle.stats.queries
-                               - self._base_oracle_queries
-                               + int(self._worker_counters.get(
-                                   "oracle.queries", 0))),
-            "maintenance_seconds": self.maintenance_seconds,
+            "oracle_queries": self.oracle.metrics.counter_values(
+                "oracle.")["queries"],
+            "maintenance_seconds": counts["maintenance_seconds"],
             "certifications": len(self.certifications),
             "last_certification_ok": (self.certifications[-1].ok
                                       if self.certifications else None),
@@ -560,4 +519,4 @@ class DynamicSpanner:
                 f"n={self.graph.number_of_nodes()} "
                 f"m={self.graph.number_of_edges()} "
                 f"|H|={self.spanner.number_of_edges()} "
-                f"updates={self.updates_applied}>")
+                f"updates={self._updates_applied.value}>")

@@ -29,6 +29,7 @@ tests replay.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Dict, Iterable, Iterator, List, Optional, Tuple, Union
@@ -157,6 +158,23 @@ def node_from_json(value: Any, field: str) -> Node:
     return _restore_node(value)
 
 
+def _weight_from_json(value: Any) -> float:
+    """An edge weight from its JSON form: a positive, finite JSON number.
+
+    Strings, booleans, zero, negatives, ``NaN`` and ``Infinity`` are
+    refused rather than coerced (``float("2")`` would read a string).
+    """
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        try:
+            weight = float(value)
+        except OverflowError:  # an integer beyond float range
+            weight = math.inf
+        if 0 < weight < math.inf:
+            return weight
+    raise UpdateError(
+        f"weight must be a positive finite number, got {value!r}")
+
+
 def update_from_json(document: Dict[str, Any]) -> UpdateOp:
     """Rebuild one op from :func:`update_to_json` output.
 
@@ -173,7 +191,7 @@ def update_from_json(document: Dict[str, Any]) -> UpdateOp:
     v = node_from_json(document["v"], "v")
     if op_type is EdgeDelete:
         return EdgeDelete(u, v)
-    return op_type(u, v, float(document["weight"]))
+    return op_type(u, v, _weight_from_json(document["weight"]))
 
 
 class UpdateJournal:

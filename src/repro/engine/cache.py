@@ -15,10 +15,11 @@ Two invalidation mechanisms:
   serve stale distances.
 
 All traffic is counted on the metrics registry (:mod:`repro.obs`) under the
-``engine.cache.*`` family — hits / misses / evictions / invalidations — and
-surfaces both in :meth:`QueryEngine.stats` (the historical dict view) and in
-the process-wide metrics export.  ``hit_rate`` is always a number: an
-untouched cache reports ``0.0``, never a division error.
+``engine.cache.*`` family — hits / misses / evictions / invalidations — the
+only place those counts live: :meth:`ResultCache.stats` (the ``cache`` part
+of :meth:`QueryEngine.stats`) and the process-wide metrics export both read
+it.  ``hit_rate`` is always a number: an untouched cache reports ``0.0``,
+never a division error.
 """
 
 from __future__ import annotations
@@ -57,23 +58,6 @@ class ResultCache:
             "engine.cache.invalidations",
             "whole-cache clears on graph version moves")
         self._entries: "OrderedDict[Hashable, Any]" = OrderedDict()
-
-    # ------------------------------------------------------------ thin views
-    @property
-    def hits(self) -> int:
-        return self._hits.value
-
-    @property
-    def misses(self) -> int:
-        return self._misses.value
-
-    @property
-    def evictions(self) -> int:
-        return self._evictions.value
-
-    @property
-    def invalidations(self) -> int:
-        return self._invalidations.value
 
     @property
     def enabled(self) -> bool:
@@ -130,29 +114,20 @@ class ResultCache:
             self._evictions.inc()
 
     # ----------------------------------------------------------------- stats
-    @property
-    def hit_rate(self) -> float:
-        """Fraction of lookups served from cache (0.0 when untouched)."""
-        hits = self._hits.value
-        total = hits + self._misses.value
-        if total == 0:
-            return 0.0
-        return hits / total
-
     def stats(self) -> Dict[str, Any]:
         """Counter snapshot for the engine's stats report."""
+        counts = self.metrics.counter_values("engine.cache.")
+        hits, lookups = counts["hits"], counts["hits"] + counts["misses"]
         return {
             "capacity": self.capacity,
             "entries": len(self._entries),
-            "hits": self.hits,
-            "misses": self.misses,
-            "hit_rate": self.hit_rate,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
+            "hits": hits,
+            "misses": counts["misses"],
+            "hit_rate": hits / lookups if lookups else 0.0,
+            "evictions": counts["evictions"],
+            "invalidations": counts["invalidations"],
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"<ResultCache {len(self._entries)}/{self.capacity} "
-            f"hits={self.hits} misses={self.misses} evictions={self.evictions}>"
-        )
+        return (f"<ResultCache {len(self._entries)}/{self.capacity} "
+                f"hits={self._hits.value} misses={self._misses.value}>")

@@ -22,15 +22,14 @@ Answers are identical either way, and identical to the per-query reference
 execution strategies, not approximations.  ``tests/test_engine.py`` holds
 this line property-style.
 
-Observability: every serving counter lives on the engine's own metrics
+Observability: every serving counter lives only on the engine's own metrics
 registry (``engine.*`` family, attached to the process default — see
-:mod:`repro.obs`), with the historical attributes (``queries_served``,
-``kernel_calls``, ...) preserved as read-only views and :meth:`stats` as the
-dict rendering.  Batch occupancy and per-group kernel time are histograms;
-``distances_batch`` opens a tracer span so traces attribute kernel work to
-the batches that caused it.  Pooled audit sweeps ship their counters back
-per chunk and fold through :func:`repro.obs.merge_counters`, so parallel
-audits report exactly the serial counters.
+:mod:`repro.obs`); :meth:`stats` renders it as a dict.  Batch occupancy and
+per-group kernel time are histograms; ``distances_batch`` opens a tracer
+span so traces attribute kernel work to the batches that caused it.  Pooled
+audit sweeps ship their counters back per chunk and fold through
+:func:`repro.obs.merge_counters`, so parallel audits report exactly the
+serial counters.
 """
 
 from __future__ import annotations
@@ -237,39 +236,6 @@ class QueryEngine:
         self._buffers: Dict[int, MaskBuffer] = {}
         self._matrices: Dict[int, MaskMatrix] = {}
         self._seen_keys: set = set()
-
-    # ----------------------------------------------------- counter thin views
-    @property
-    def queries_served(self) -> int:
-        return self._queries_served.value
-
-    @property
-    def batches_planned(self) -> int:
-        return self._batches_planned.value
-
-    @property
-    def groups_executed(self) -> int:
-        return self._groups_executed.value
-
-    @property
-    def kernel_calls(self) -> int:
-        return self._kernel_calls.value
-
-    @property
-    def fused_sweeps(self) -> int:
-        return self._fused_sweeps.value
-
-    @property
-    def audits(self) -> int:
-        return self._audits.value
-
-    @property
-    def audit_kernel_calls(self) -> int:
-        return self._audit_kernel_calls.value
-
-    @property
-    def busy_seconds(self) -> float:
-        return self._busy_seconds.value
 
     # ------------------------------------------------------------- internals
     def _buffer_for(self, csr: CSRGraph) -> MaskBuffer:
@@ -587,26 +553,27 @@ class QueryEngine:
     # ----------------------------------------------------------------- stats
     def stats(self) -> Dict[str, Any]:
         """Serving report: traffic, batching effectiveness, cache, throughput."""
-        saved = self.queries_served - self.kernel_calls
+        counts = self.metrics.counter_values("engine.")
+        served, busy = counts["queries_served"], counts["busy_seconds"]
         return {
             "snapshot": self.snapshot.describe(),
-            "queries_served": self.queries_served,
-            "batches_planned": self.batches_planned,
-            "groups_executed": self.groups_executed,
-            "kernel_calls": self.kernel_calls,
-            "kernel_calls_saved": saved,
+            "queries_served": served,
+            "batches_planned": counts["batches_planned"],
+            "groups_executed": counts["groups_executed"],
+            "kernel_calls": counts["kernel_calls"],
+            "kernel_calls_saved": served - counts["kernel_calls"],
             "kernel": self.kernel.name,
-            "fused_sweeps": self.fused_sweeps,
-            "audits": self.audits,
-            "audit_kernel_calls": self.audit_kernel_calls,
-            "busy_seconds": self.busy_seconds,
-            "queries_per_second": (self.queries_served / self.busy_seconds
-                                   if self.busy_seconds > 0 else 0.0),
+            "fused_sweeps": counts["fused_sweeps"],
+            "audits": counts["audits"],
+            "audit_kernel_calls": counts["audit_kernel_calls"],
+            "busy_seconds": busy,
+            "queries_per_second": served / busy if busy > 0 else 0.0,
             "cache": self.cache.stats(),
         }
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"<QueryEngine {self.snapshot.fault_model} k={self.snapshot.stretch} "
-            f"served={self.queries_served} kernel_calls={self.kernel_calls}>"
+            f"served={self._queries_served.value} "
+            f"kernel_calls={self._kernel_calls.value}>"
         )

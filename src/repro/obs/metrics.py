@@ -29,11 +29,18 @@ Merging
 -------
 :func:`merge_counters` is the single fold used everywhere chunked work ships
 counters back to a parent: worker-process metric deltas
-(:mod:`repro.runtime.backend`), the speculative-batch fold in the parallel
-FT-greedy builder and the dynamic repair sweep, and the engine's pooled
-audit fold.  It sums a flat ``{name: amount}`` mapping into either a plain
-dict or a registry, so parallel runs report the same counters as serial ones
+(:mod:`repro.runtime.backend`), and the worker oracle and audit counts that
+the parallel FT-greedy builder, the dynamic repair sweep and the engine's
+pooled audits fold into the registry of the component that owns them.  It
+sums a flat ``{name: amount}`` mapping into either a plain dict or a
+registry, so parallel runs report the same counters as serial ones
 (property-tested in ``tests/test_obs.py``).
+
+Reading
+-------
+A component's registry is the only store of its counters.  Reports read
+them through :meth:`MetricsRegistry.counter_values`, which never creates a
+metric, so a misspelt name raises instead of reading as zero.
 """
 
 from __future__ import annotations
@@ -345,6 +352,29 @@ class MetricsRegistry:
             for source in self.sources():
                 merge_counters(flat, source.counters())
         return flat
+
+    def counter_values(self, prefix: str) -> Dict[str, Union[int, float]]:
+        """This registry's counters named ``prefix…``, keyed by the rest.
+
+        The read every ``stats()`` report is built from.  Zero counters are
+        included, so a report has all its keys before any traffic; labeled
+        children follow their parent under their flat ``rest{key="value"}``
+        name.  Unlike :meth:`counter`, reading never creates: a prefix that
+        names no registered counter raises :class:`KeyError`, and so does
+        indexing the result with an unregistered name, so a misspelt
+        counter cannot read as a silent zero.
+        """
+        values: Dict[str, Union[int, float]] = {}
+        for name, metric in self.metrics().items():
+            if metric.kind != "counter" or not name.startswith(prefix):
+                continue
+            values[name[len(prefix):]] = metric.value
+            for child in metric.children().values():
+                values[child.name[len(prefix):]] = child.value
+        if not values:
+            raise KeyError(f"no counter registered under {prefix!r} "
+                           f"in registry {self.name!r}")
+        return values
 
     def counters_delta(self, before: Mapping[str, float], *,
                        include_sources: bool = False) -> Dict[str, float]:

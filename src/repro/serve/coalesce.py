@@ -89,14 +89,6 @@ class CoalescingWindow:
         """Queries currently parked in the open window."""
         return self._pending_queries
 
-    @property
-    def batches_flushed(self) -> int:
-        return self._batches.value
-
-    @property
-    def requests_coalesced(self) -> int:
-        return self._requests.value
-
     # ------------------------------------------------------------ the window
     async def submit(self, queries: List) -> List[float]:
         """Park ``queries`` in the window; resolves with their answers.
@@ -163,4 +155,4 @@ class CoalescingWindow:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"<CoalescingWindow window={self.window_seconds * 1000:.1f}ms "
                 f"max_batch={self.max_batch} pending={self._pending_queries} "
-                f"batches={self.batches_flushed}>")
+                f"batches={self._batches.value}>")

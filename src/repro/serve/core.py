@@ -73,14 +73,41 @@ class EngineCore:
             "applied ops that mutated the served spanner")
 
     # ------------------------------------------------------------- the core
+    def _check_nodes(self, source, target, faults) -> None:
+        """400 naming the field of the first label the spanner lacks.
+
+        Runs before a request parks in the window: the engine itself reads
+        an unknown endpoint as unreachable and an unknown fault as a no-op,
+        which on the wire would answer a typo as if it were a real query.
+        """
+        has_node = self.snapshot.spanner.has_node
+        fields = [("source", source), ("target", target)]
+        for position, fault in enumerate(faults):
+            if self.fault_model == "edge":
+                fields += [(f"faults[{position}][{end}]", node)
+                           for end, node in enumerate(fault)]
+            else:
+                fields.append((f"faults[{position}]", fault))
+        for field, node in fields:
+            try:
+                known = has_node(node)
+            except TypeError:  # unhashable (a JSON object): no node's label
+                known = False
+            if not known:
+                raise RequestError(
+                    f"{field} {node!r} is not a node of the served spanner")
+
     async def distances(self, queries: List) -> List[float]:
         """Answer query triples through the coalescing window."""
+        for query in queries:
+            self._check_nodes(*query)
         return await self.window.submit(queries)
 
     async def audit(self, source, target, faults):
         """One stretch audit (bypasses the window: audits are diagnostics)."""
         from repro.engine.engine import EngineError
 
+        self._check_nodes(source, target, faults)
         try:
             return self.engine.stretch_audit(source, target, faults)
         except EngineError as error:
@@ -143,14 +170,15 @@ class EngineCore:
 
     def stats(self) -> Dict[str, Any]:
         """The engine's serving report plus the core's write-path ledger."""
+        window = self.window.metrics.counter_values("serve.coalesce.")
         return {
             **self.engine.stats(),
             "journal_offset": len(self.journal),
             "coalesce": {
                 "window_seconds": self.window.window_seconds,
                 "max_batch": self.window.max_batch,
-                "batches_flushed": self.window.batches_flushed,
-                "requests_coalesced": self.window.requests_coalesced,
+                "batches_flushed": window["batches"],
+                "requests_coalesced": window["requests"],
             },
         }
 

@@ -52,162 +52,25 @@ view-based dict-Dijkstra searches the mask path is tested against.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.faults.enumeration import enumerate_fault_sets
 from repro.faults.models import FaultModel, FaultSet, get_fault_model
 from repro.graph.core import Graph, Node, edge_key
 from repro.graph.csr import CSRGraph, csr_snapshot
-from repro.obs.metrics import MetricsRegistry, component_registry, get_registry
+from repro.obs.metrics import component_registry, get_registry
 from repro.paths.registry import KernelLike, get_kernels
 
 #: Screen outcomes that resolved the query without the exact search.
 SCREEN_RESOLVED_OUTCOMES = ("accept", "reject")
 
+#: ``oracle.screen`` children as :meth:`MetricsRegistry.counter_values` keys
+#: them, mapped to their outcome.
+_SCREEN_KEYS = {f'screen{{outcome="{outcome}"}}': outcome
+                for outcome in SCREEN_RESOLVED_OUTCOMES + ("fallthrough",)}
+
 #: Buckets for the per-build screen hit-rate histogram (a fraction in [0, 1]).
 RATE_BUCKETS = (0.1, 0.25, 0.5, 0.75, 0.9, 0.95, 0.99, 1.0)
-
-
-class OracleStats:
-    """Oracle work counters shared between an oracle and the greedy driver.
-
-    The counters live on a per-oracle metrics registry (``oracle.*`` family,
-    attached to the process default — see :mod:`repro.obs`), so oracle work
-    shows up in ``repro-spanner stats`` and span traces.  Reads keep the
-    historical attribute names (``queries``, ``distance_queries``,
-    ``nodes_expanded``); writes go through the ``count_*`` methods.
-    ``reset()`` zeroes this oracle's counters only — the greedy driver calls
-    it at build start so finished builds report per-build work.
-    """
-
-    __slots__ = ("metrics", "_queries", "_distance_queries", "_nodes_expanded",
-                 "_screen", "_screen_children", "_exact", "_screen_hit_rate")
-
-    def __init__(self, metrics: Optional[MetricsRegistry] = None) -> None:
-        self.metrics = (metrics if metrics is not None
-                        else component_registry("oracle"))
-        self._queries = self.metrics.counter(
-            "oracle.queries", "fault-check oracle calls")
-        self._distance_queries = self.metrics.counter(
-            "oracle.distance_queries",
-            "bounded distance queries issued by oracles")
-        self._nodes_expanded = self.metrics.counter(
-            "oracle.nodes_expanded", "branch-and-bound search tree nodes")
-        # Tiered-oracle observability: every tiered query lands exactly one
-        # screen outcome ("accept" / "reject" resolved by the screen,
-        # "fallthrough" handed to the exact search) and fallthroughs also
-        # count one exact check, so accept+reject+fallthrough == queries and
-        # exact == fallthrough reconcile per build — including parallel
-        # builds, where the workers ship these as flat labeled counters.
-        self._screen = self.metrics.counter(
-            "oracle.screen", "tiered-oracle screen decisions, by outcome")
-        self._screen_children: Dict[str, object] = {}
-        self._exact = self.metrics.counter(
-            "oracle.exact", "fault checks answered by the exact search")
-        # The hit-rate histogram lives on the *process* registry: per-build
-        # observations are process history, and the per-oracle component
-        # registry (weakly attached) dies with the oracle — usually before
-        # a ``--metrics-json`` snapshot is written.
-        self._screen_hit_rate = get_registry().histogram(
-            "oracle.screen_hit_rate",
-            "fraction of fault checks the screen resolved, per build",
-            buckets=RATE_BUCKETS)
-
-    @property
-    def queries(self) -> int:
-        return self._queries.value
-
-    @property
-    def distance_queries(self) -> int:
-        return self._distance_queries.value
-
-    @property
-    def nodes_expanded(self) -> int:
-        return self._nodes_expanded.value
-
-    @property
-    def screen_outcomes(self) -> Dict[str, int]:
-        """Screen outcome → count (empty unless a tiered oracle ran)."""
-        return {outcome: child.value
-                for outcome, child in self._screen_children.items()
-                if child.value}
-
-    @property
-    def screen_checks(self) -> int:
-        """Total screen decisions (every tiered query makes exactly one)."""
-        return sum(child.value for child in self._screen_children.values())
-
-    @property
-    def screen_resolved(self) -> int:
-        """Queries the screen answered without running the exact search."""
-        return sum(child.value
-                   for outcome, child in self._screen_children.items()
-                   if outcome in SCREEN_RESOLVED_OUTCOMES)
-
-    @property
-    def exact_checks(self) -> int:
-        return self._exact.value
-
-    def count_query(self) -> None:
-        self._queries.inc()
-
-    def count_distance_query(self) -> None:
-        self._distance_queries.inc()
-
-    def count_nodes_expanded(self) -> None:
-        self._nodes_expanded.inc()
-
-    def count_screen(self, outcome: str) -> None:
-        child = self._screen_children.get(outcome)
-        if child is None:
-            child = self._screen_children[outcome] = self._screen.labels(
-                outcome=outcome)
-        child.inc()
-
-    def count_exact(self) -> None:
-        self._exact.inc()
-
-    def observe_screen_hit_rate(
-            self, extra: Optional[Mapping[str, float]] = None) -> Optional[float]:
-        """Record this build's screen hit rate; returns the rate (or ``None``).
-
-        ``extra`` optionally folds in screen counts a parallel driver
-        collected from its workers (the flat ``oracle.screen{outcome="..."}``
-        keys shipped by :func:`repro.spanners.ft_greedy._ft_check_chunk`).
-        """
-        outcomes = {outcome: child.value
-                    for outcome, child in self._screen_children.items()}
-        if extra:
-            for flat, amount in extra.items():
-                if flat.startswith('oracle.screen{outcome="') and flat.endswith('"}'):
-                    outcome = flat[len('oracle.screen{outcome="'):-2]
-                    outcomes[outcome] = outcomes.get(outcome, 0) + amount
-        total = sum(outcomes.values())
-        if not total:
-            return None
-        rate = sum(count for outcome, count in outcomes.items()
-                   if outcome in SCREEN_RESOLVED_OUTCOMES) / total
-        self._screen_hit_rate.observe(rate)
-        return rate
-
-    def reset(self) -> None:
-        self.metrics.reset()
-
-    def publish(self) -> None:
-        """Fold this oracle's counters into the process registry, then zero.
-
-        Build drivers call this once per finished build (after reading the
-        per-build numbers into the result): the per-oracle component
-        registry is only weakly attached and dies with the oracle, so a
-        ``--metrics-json`` snapshot written after the build would otherwise
-        miss the ``oracle.*`` family entirely.  Zeroing after the fold
-        keeps a long-lived oracle instance from double-counting in
-        ``include_sources`` views.
-        """
-        counters = self.metrics.counters()
-        if counters:
-            get_registry().merge_counters(counters)
-            self.metrics.reset()
 
 
 def candidate_elements_csr(model: FaultModel, csr: CSRGraph, source: Node,
@@ -239,9 +102,64 @@ class FaultCheckOracle(ABC):
     exact: bool = True
 
     def __init__(self, kernel: KernelLike = None) -> None:
-        self.stats = OracleStats()
+        #: This oracle's work counters (the ``oracle.*`` family), attached to
+        #: the process registry while the oracle lives.  Every tiered query
+        #: lands exactly one ``oracle.screen`` outcome ("accept" / "reject"
+        #: resolved by the screen, "fallthrough" handed to the exact search)
+        #: and fallthroughs also count one ``oracle.exact``, so
+        #: accept+reject+fallthrough == queries and exact == fallthrough
+        #: reconcile per build, parallel builds included (their workers'
+        #: counts fold into this registry).
+        self.metrics = component_registry("oracle")
+        self._queries = self.metrics.counter(
+            "oracle.queries", "fault-check oracle calls")
+        self._distance_queries = self.metrics.counter(
+            "oracle.distance_queries",
+            "bounded distance queries issued by oracles")
+        self._nodes_expanded = self.metrics.counter(
+            "oracle.nodes_expanded", "branch-and-bound search tree nodes")
+        self._screen = self.metrics.counter(
+            "oracle.screen", "tiered-oracle screen decisions, by outcome")
+        self._exact = self.metrics.counter(
+            "oracle.exact", "fault checks answered by the exact search")
+        # The hit-rate histogram lives on the *process* registry: per-build
+        # observations are process history, and this oracle's registry dies
+        # with the oracle, usually before a ``--metrics-json`` snapshot is
+        # written.
+        self._screen_hit_rate = get_registry().histogram(
+            "oracle.screen_hit_rate",
+            "fraction of fault checks the screen resolved, per build",
+            buckets=RATE_BUCKETS)
         #: Kernel backend answering the CSR distance queries (auto if None).
         self.kernels = get_kernels(kernel)
+
+    def finish_build(self) -> Dict[str, Any]:
+        """One build's oracle work, then one fold into the process registry.
+
+        Returns ``oracle_queries`` and ``distance_queries``, plus, when a
+        tiered screen ran, ``screen_outcomes`` (outcome → count, in
+        first-seen order) and ``screen_hit_rate``, which is also observed
+        on the ``oracle.screen_hit_rate`` histogram.  Then this oracle's
+        counters fold into the process registry and are zeroed: the
+        oracle's registry is only weakly attached, and a ``--metrics-json``
+        snapshot written after the build must still see the ``oracle.*``
+        family, exactly once.
+        """
+        counts = self.metrics.counter_values("oracle.")
+        outcomes = {_SCREEN_KEYS[key]: count for key, count in counts.items()
+                    if key in _SCREEN_KEYS and count}
+        work: Dict[str, Any] = {"oracle_queries": counts["queries"],
+                                "distance_queries": counts["distance_queries"]}
+        total = sum(outcomes.values())
+        if total:
+            rate = sum(count for outcome, count in outcomes.items()
+                       if outcome in SCREEN_RESOLVED_OUTCOMES) / total
+            self._screen_hit_rate.observe(rate)
+            work["screen_outcomes"] = outcomes
+            work["screen_hit_rate"] = rate
+        get_registry().merge_counters(self.metrics.counters())
+        self.metrics.reset()
+        return work
 
     def find_breaking_fault_set(self, graph: Graph, source: Node, target: Node,
                                 budget: float, max_faults: int,
@@ -305,7 +223,7 @@ class ExhaustiveOracle(FaultCheckOracle):
                                     fault_model: "str | FaultModel",
                                     candidates: Optional[List] = None) -> Optional[FaultSet]:
         model = get_fault_model(fault_model)
-        self.stats.count_query()
+        self._queries.inc()
         elements = (candidates if candidates is not None
                     else candidate_elements_csr(model, csr, source, target))
         s = csr.index_of.get(source)
@@ -317,7 +235,7 @@ class ExhaustiveOracle(FaultCheckOracle):
             indices = model.mask_indices(csr, faults)
             for index in indices:
                 mask[index] = 1
-            self.stats.count_distance_query()
+            self._distance_queries.inc()
             if s is None or t is None:
                 exceeded = True
             else:
@@ -357,7 +275,7 @@ class BranchAndBoundOracle(FaultCheckOracle):
         # ``candidates`` is ignored: the branching elements come from the
         # witness paths themselves, never from a global enumeration.
         model = get_fault_model(fault_model)
-        self.stats.count_query()
+        self._queries.inc()
         mask = model.new_mask(csr)
         found = self._search_csr(
             csr, source, target,
@@ -371,8 +289,8 @@ class BranchAndBoundOracle(FaultCheckOracle):
                     remaining: int, model: FaultModel,
                     current: List, mask: bytearray) -> Optional[List]:
         """One search-tree node; branching on an element is one byte write."""
-        self.stats.count_nodes_expanded()
-        self.stats.count_distance_query()
+        self._nodes_expanded.inc()
+        self._distance_queries.inc()
         if s is None or t is None:
             return list(current)
         backend = self.kernels.resolve(csr)
@@ -441,8 +359,8 @@ class BranchAndBoundOracle(FaultCheckOracle):
         for row, element in enumerate(elements):
             # Count exactly what the serial loop would have: one expansion
             # and one distance query per child actually visited.
-            self.stats.count_nodes_expanded()
-            self.stats.count_distance_query()
+            self._nodes_expanded.inc()
+            self._distance_queries.inc()
             if answers[row][0] > budget:
                 return current + [element]
         return None
@@ -524,13 +442,13 @@ class TieredOracle(BranchAndBoundOracle):
         # ``candidates`` is ignored, exactly as in the branch-and-bound
         # search the undecided margin falls through to.
         model = get_fault_model(fault_model)
-        self.stats.count_query()
+        self._queries.inc()
         s = csr.index_of.get(source)
         t = csr.index_of.get(target)
         if s is None or t is None:
             # The exact search returns the empty canonical set outright for
             # endpoints unknown to the snapshot.
-            self.stats.count_screen("accept")
+            self._screen.labels(outcome="accept").inc()
             return model.canonical([])
         if not csr.degree(s) or not csr.degree(t):
             # An isolated endpoint has no u–v path at all: the exact
@@ -541,7 +459,7 @@ class TieredOracle(BranchAndBoundOracle):
             # datacenter scale — lets the snapshot's overflow arcs pile up
             # across a whole run of such accepts instead of forcing one
             # compaction per accepted edge.
-            self.stats.count_screen("accept")
+            self._screen.labels(outcome="accept").inc()
             return model.canonical([])
         # One root query feeds every tier: the warm-cache read (free on a
         # hit), the accept/f=0 screens, the packing screen's first path,
@@ -550,12 +468,12 @@ class TieredOracle(BranchAndBoundOracle):
         if distance > budget:
             # Certified accept: the exact search's unfaulted root query sees
             # this same distance and returns the empty canonical witness.
-            self.stats.count_screen("accept")
+            self._screen.labels(outcome="accept").inc()
             return model.canonical([])
         if max_faults == 0:
             # Root distance within budget with no fault budget left: the
             # exact search answers None from its root.
-            self.stats.count_screen("reject")
+            self._screen.labels(outcome="reject").inc()
             return None
         straight_to_exact = self._witness_replays(
             csr, source, target, s, t, budget, max_faults, model)
@@ -565,10 +483,10 @@ class TieredOracle(BranchAndBoundOracle):
             # f+1 element-disjoint short paths (or one unfaultable path):
             # every fault set of size <= f leaves a short path intact, so
             # the exact search must reject.
-            self.stats.count_screen("reject")
+            self._screen.labels(outcome="reject").inc()
             return None
-        self.stats.count_screen("fallthrough")
-        self.stats.count_exact()
+        self._screen.labels(outcome="fallthrough").inc()
+        self._exact.inc()
         mask = model.new_mask(csr)
         if root_path is None:
             # The root distance came from the cached SSSP vector (no path);
@@ -579,7 +497,7 @@ class TieredOracle(BranchAndBoundOracle):
             # The exact search's root node, minus its unfaulted query (the
             # root query above already answered it, <= budget): branch on
             # the root path exactly as the plain exact oracle would.
-            self.stats.count_nodes_expanded()
+            self._nodes_expanded.inc()
             found = self._branch(csr, source, target, s, t, budget,
                                  max_faults, model, [], mask,
                                  self.kernels.resolve(csr), root_path)
@@ -608,13 +526,13 @@ class TieredOracle(BranchAndBoundOracle):
             return self._sssp_dist[t], None
         backend = self.kernels.resolve(csr)
         if self._previous_key == key:
-            self.stats.count_distance_query()
+            self._distance_queries.inc()
             dist, _ = backend.sssp_dijkstra_csr(csr, s, None, None, None)
             self._sssp_key = key
             self._sssp_dist = dist
             return dist[t], None
         self._previous_key = key
-        self.stats.count_distance_query()
+        self._distance_queries.inc()
         distance, index_path = backend.bounded_dijkstra_path_csr(
             csr, s, t, budget, None, None)
         node_of = csr.node_of
@@ -654,7 +572,7 @@ class TieredOracle(BranchAndBoundOracle):
         for index in indices:
             mask[index] = 1
         vertex_mask, edge_mask = model.kernel_masks(mask)
-        self.stats.count_distance_query()
+        self._distance_queries.inc()
         exceeded = self.kernels.resolve(csr).bounded_dijkstra_csr(
             csr, s, t, budget, vertex_mask, edge_mask) > budget
         for index in indices:
@@ -683,7 +601,7 @@ class TieredOracle(BranchAndBoundOracle):
         try:
             for packed in range(max_faults + 1):
                 if path is None:
-                    self.stats.count_distance_query()
+                    self._distance_queries.inc()
                     distance, index_path = backend.bounded_dijkstra_path_csr(
                         csr, s, t, budget, vertex_mask, edge_mask)
                     if distance > budget:
@@ -733,7 +651,7 @@ class GreedyPathPackingOracle(FaultCheckOracle):
         # ``candidates`` is ignored: the faulted elements come from the
         # successive short paths.
         model = get_fault_model(fault_model)
-        self.stats.count_query()
+        self._queries.inc()
         s = csr.index_of.get(source)
         t = csr.index_of.get(target)
         mask = model.new_mask(csr)
@@ -741,7 +659,7 @@ class GreedyPathPackingOracle(FaultCheckOracle):
         node_of = csr.node_of
         chosen: List = []
         for _ in range(max_faults + 1):
-            self.stats.count_distance_query()
+            self._distance_queries.inc()
             if s is None or t is None:
                 return model.canonical(chosen)
             distance, index_path = self.kernels.resolve(csr).bounded_dijkstra_path_csr(

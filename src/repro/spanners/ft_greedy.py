@@ -56,7 +56,6 @@ from repro.graph.csr import CSRGraph, csr_snapshot
 from repro.obs.metrics import get_registry
 from repro.obs.trace import get_tracer
 from repro.runtime.backend import BackendLike, ExecutionBackend, get_backend
-from repro.runtime.merge import merge_counters
 from repro.runtime.shard import split_sequence
 from repro.spanners.base import SpannerResult
 from repro.spanners.fault_check import FaultCheckOracle, get_oracle
@@ -189,7 +188,7 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
         raise ValueError("max_faults must be non-negative")
     model = get_fault_model(fault_model)
     checker = get_oracle(oracle, kernel)
-    checker.stats.reset()
+    checker.metrics.reset()
 
     resolved: Optional[ExecutionBackend] = None
     if workers > 1 or backend == "process" or isinstance(backend, ExecutionBackend):
@@ -237,17 +236,11 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
             on_progress("ft-greedy", considered, len(edge_list))
     timer.stop()
 
+    work = checker.finish_build()
     parameters = {"oracle": checker.name, "oracle_exact": checker.exact}
-    hit_rate = checker.stats.observe_screen_hit_rate()
-    if hit_rate is not None:
-        parameters["screen_hit_rate"] = hit_rate
-        parameters["screen_outcomes"] = checker.stats.screen_outcomes
-    oracle_queries = checker.stats.queries
-    distance_queries = checker.stats.distance_queries
-    # Flush the oracle's counters to the process registry: the checker (and
-    # its weakly-attached component registry) may die with this frame, and
-    # a --metrics-json snapshot must still see the build's oracle.* family.
-    checker.stats.publish()
+    if "screen_hit_rate" in work:
+        parameters["screen_hit_rate"] = work["screen_hit_rate"]
+        parameters["screen_outcomes"] = work["screen_outcomes"]
     return SpannerResult(
         spanner=spanner,
         original=graph,
@@ -258,8 +251,8 @@ def _ft_greedy(graph: Graph, stretch: float, max_faults: int,
         witness_fault_sets=witnesses,
         edges_considered=considered,
         edges_added=spanner.number_of_edges(),
-        oracle_queries=oracle_queries,
-        distance_queries=distance_queries,
+        oracle_queries=work["oracle_queries"],
+        distance_queries=work["distance_queries"],
         construction_seconds=timer.elapsed,
         parameters=parameters,
     )
@@ -305,12 +298,12 @@ def _ft_check_chunk(ctx: _FTCheckContext,
     # Ship the oracle's whole counter family — queries, distance queries,
     # nodes expanded, and the tiered screen/exact outcome tallies (labeled
     # keys like ``oracle.screen{outcome="reject"}`` round-trip through
-    # ``merge_counters``).
-    counters = checker.stats.metrics.counters()
+    # ``merge_counters``) — for the caller to fold into its own oracle.
+    counters = checker.metrics.counters()
     # Reset before returning so backend-level metric capture (which ships
     # the worker registry's movement) can never count this work a second
     # time: the explicit mapping above is the single source of truth.
-    checker.stats.reset()
+    checker.metrics.reset()
     return found, counters
 
 
@@ -350,7 +343,6 @@ def _ft_greedy_parallel(graph: Graph, stretch: float, max_faults: int,
     considered = 0
     rechecks = 0
     batches = 0
-    worker_counters: dict = {}
     registry = get_registry()
     tracer = get_tracer()
     ship_elements = checker.name == "exhaustive"
@@ -382,12 +374,10 @@ def _ft_greedy_parallel(graph: Graph, stretch: float, max_faults: int,
                     _ft_check_chunk, split_sequence(tasks, backend.workers),
                     context=context, metrics=registry):
                 speculative.extend(chunk_found)
-                # One fold, two targets: the local tally feeding the
-                # SpannerResult counters, and the process registry (the
-                # chunk fn zeroed its own copy, so this is the only path
-                # by which worker oracle counts reach the registry).
-                merge_counters(worker_counters, counters)
-                registry.merge_counters(counters)
+                # The workers' oracle counts join the checker's own (the
+                # chunk fn zeroed its copy, so they arrive exactly once);
+                # finish_build reads the whole build's work from there.
+                checker.metrics.merge_counters(counters)
 
             for (u, v, w), fault_set in zip(batch, speculative):
                 considered += 1
@@ -421,24 +411,13 @@ def _ft_greedy_parallel(graph: Graph, stretch: float, max_faults: int,
             on_progress("ft-greedy", considered, total)
     timer.stop()
 
+    work = checker.finish_build()
     parameters = {"oracle": checker.name, "oracle_exact": checker.exact,
                   "workers": backend.workers, "backend": backend.name,
                   "speculative_batches": batches,
                   "speculative_rechecks": rechecks}
-    # The screen outcomes from the workers arrived as flat labeled counters;
-    # fold them into the in-process tally before computing the build's rate.
-    hit_rate = checker.stats.observe_screen_hit_rate(extra=worker_counters)
-    if hit_rate is not None:
-        parameters["screen_hit_rate"] = hit_rate
-    oracle_queries = (checker.stats.queries
-                      + int(worker_counters.get("oracle.queries", 0)))
-    distance_queries = (checker.stats.distance_queries
-                        + int(worker_counters.get("oracle.distance_queries", 0)))
-    # The worker deltas were already merged into the process registry as
-    # they arrived; flush the local checker's recheck counts the same way,
-    # so a --metrics-json snapshot sees the whole build's oracle.* family
-    # even after the checker dies with this frame.
-    checker.stats.publish()
+    if "screen_hit_rate" in work:
+        parameters["screen_hit_rate"] = work["screen_hit_rate"]
     return SpannerResult(
         spanner=spanner,
         original=graph,
@@ -451,8 +430,8 @@ def _ft_greedy_parallel(graph: Graph, stretch: float, max_faults: int,
         edges_added=spanner.number_of_edges(),
         # Counters report actual (speculative + recheck) work; unlike the
         # spanner and witnesses they are *not* byte-identical to serial.
-        oracle_queries=oracle_queries,
-        distance_queries=distance_queries,
+        oracle_queries=work["oracle_queries"],
+        distance_queries=work["distance_queries"],
         construction_seconds=timer.elapsed,
         parameters=parameters,
     )

@@ -228,7 +228,7 @@ class TestDynamicSpanner:
             dyn.apply(EdgeInsert(*existing, 1.0))
         assert dyn.graph.version == graph_version
         assert dyn.spanner.version == spanner_version
-        assert dyn.updates_applied == 0 and len(dyn.journal) == 0
+        assert dyn.stats()["updates_applied"] == 0 and len(dyn.journal) == 0
 
     def test_insert_of_bridge_to_new_node_is_accepted(self):
         graph = generators.gnm(10, 20, rng=2, connected=True)
@@ -259,7 +259,7 @@ class TestDynamicSpanner:
         outcome = dyn.apply(EdgeDelete(u, v))
         assert outcome.region is None and not outcome.spanner_changed
         assert dyn.spanner.version == spanner_version
-        assert dyn.repairs == 0
+        assert dyn.stats()["repairs"] == 0
 
     def test_reweight_cases(self):
         graph = generators.gnm(14, 40, rng=6, connected=True, weighted=True)
@@ -439,9 +439,9 @@ class TestLiveEngine:
         u, v, _ = rejected[0]
         live.apply(EdgeDelete(u, v))
         assert live.cache_invalidations == 0
-        hits_before = live.engine.cache.hits
+        hits_before = live.engine.stats()["cache"]["hits"]
         live.distances_batch(batch)
-        assert live.engine.cache.hits == hits_before + 1
+        assert live.engine.stats()["cache"]["hits"] == hits_before + 1
         # A spanner-changing update flushes it, attributed to the update.
         spanner_edge = next(iter(sorted(live.dynamic.spanner.edge_keys(),
                                         key=repr)))
@@ -495,9 +495,9 @@ class TestInterleavedSessions:
 
         # Interleave: A populates the group vector, B rides it.
         serve_and_check(client_a)
-        hits_before = live.engine.cache.hits
+        hits_before = live.engine.stats()["cache"]["hits"]
         serve_and_check(client_b)
-        assert live.engine.cache.hits == hits_before + 1
+        assert live.engine.stats()["cache"]["hits"] == hits_before + 1
         assert live.cache_invalidations == 0
 
         # An invalidating update lands between the sessions: deleting a
@@ -514,7 +514,7 @@ class TestInterleavedSessions:
         serve_and_check(client_b)
         serve_and_check(client_a)
         assert live.cache_invalidations == 1
-        assert live.engine.cache.hits > hits_before + 1
+        assert live.engine.stats()["cache"]["hits"] > hits_before + 1
 
 
 # --------------------------------------------------------------------------
@@ -568,7 +568,7 @@ class TestAcceptanceAnchor:
         dyn = DynamicSpanner(graph.copy(), spec)
         journal = random_journal(graph, 200, rng=23)
         dyn.apply_journal(journal)
-        assert dyn.updates_applied == 200
+        assert dyn.stats()["updates_applied"] == 200
         # Sampled certification (the exhaustive space is astronomically big).
         record = dyn.certify(method="sampled", samples=40, rng=0)
         assert record.ok, record.report.notes

@@ -191,11 +191,11 @@ def test_cache_lru_eviction_order_and_counters():
     cache.put("b", 2)
     assert cache.get("a") == 1  # refreshes "a": "b" is now least recent
     cache.put("c", 3)
-    assert cache.evictions == 1
+    assert cache.stats()["evictions"] == 1
     assert cache.get("b") is None  # evicted
     assert cache.get("a") == 1 and cache.get("c") == 3
-    assert cache.hits == 3 and cache.misses == 1
-    assert 0.0 < cache.hit_rate < 1.0
+    assert cache.stats()["hits"] == 3 and cache.stats()["misses"] == 1
+    assert 0.0 < cache.stats()["hit_rate"] < 1.0
     stats = cache.stats()
     assert stats["entries"] == 2 and stats["capacity"] == 2
 
@@ -206,7 +206,7 @@ def test_cache_disabled_at_zero_capacity():
     cache.put("a", 1)
     assert len(cache) == 0
     assert cache.get("a") is None
-    assert cache.misses == 1
+    assert cache.stats()["misses"] == 1
 
 
 def test_cache_version_invalidation():
@@ -216,7 +216,7 @@ def test_cache_version_invalidation():
     cache.sync(3)  # unchanged version keeps entries
     assert cache.get("a") == 1
     cache.sync(4)
-    assert cache.invalidations == 1
+    assert cache.stats()["invalidations"] == 1
     assert cache.get("a") is None
 
 
@@ -237,7 +237,7 @@ def test_cache_flush_on_mid_session_version_bump_drops_stale_entries():
     queries = [(s, t) for s in sources for t in nodes[4:10]]
     before = engine.distances_batch(queries)
     assert len(engine.cache) == len(sources)  # one vector per source
-    assert engine.cache.invalidations == 0
+    assert engine.stats()["cache"]["invalidations"] == 0
     version_before = graph.version
 
     # Structural mutation behind the snapshot: a new shortcut edge between a
@@ -248,7 +248,7 @@ def test_cache_flush_on_mid_session_version_bump_drops_stale_entries():
     graph.add_edge(*shortcut, 1e-4)
     assert graph.version > version_before
     after = engine.distances_batch(queries)
-    assert engine.cache.invalidations == 1
+    assert engine.stats()["cache"]["invalidations"] == 1
     assert len(engine.cache) == len(sources)  # repopulated, not stale
     reference = [bounded_distance(ExclusionView(graph), s, t, math.inf)
                  for s, t in queries]
@@ -260,7 +260,7 @@ def test_cache_flush_on_mid_session_version_bump_drops_stale_entries():
     # pre-mutation reference once the shortcut is gone.
     graph.remove_edge(*shortcut)
     engine.distances_batch(queries)
-    assert engine.cache.invalidations == 2
+    assert engine.stats()["cache"]["invalidations"] == 2
     assert engine.distances_batch(queries) == before
     stats = engine.stats()["cache"]
     assert stats["invalidations"] == 2 and stats["entries"] == len(sources)
@@ -276,12 +276,12 @@ def test_engine_invalidates_on_graph_version_change():
     # vector computed), second repeat is served from cache.
     assert engine.distance(nodes[0], nodes[1]) == before
     assert engine.distance(nodes[0], nodes[1]) == before
-    assert engine.cache.hits >= 1
+    assert engine.stats()["cache"]["hits"] >= 1
     # Mutating the served graph must flush cached vectors, not serve stale ones.
     graph.add_edge(nodes[0], nodes[1], 1e-3)
     after = engine.distance(nodes[0], nodes[1])
     assert after == 1e-3
-    assert engine.cache.invalidations == 1
+    assert engine.stats()["cache"]["invalidations"] == 1
     # And answers keep matching the reference on the mutated graph.
     assert after == bounded_distance(ExclusionView(graph), nodes[0], nodes[1],
                                      math.inf)
@@ -299,8 +299,8 @@ def test_stretch_audit_batch_parallel_matches_serial():
     pooled_engine = QueryEngine(snapshot, backend="process", workers=2)
     pooled = pooled_engine.stretch_audit_batch(requests)
     assert pooled == serial
-    assert pooled_engine.audits == len(requests)
-    assert pooled_engine.audit_kernel_calls == len(requests)
+    assert pooled_engine.stats()["audits"] == len(requests)
+    assert pooled_engine.stats()["audit_kernel_calls"] == len(requests)
     assert all(audit.within_budget for audit in pooled)
 
 
@@ -390,7 +390,7 @@ def test_stretch_audit_within_budget_honours_construction():
         assert audit.within_budget
         assert audit.ok, f"stretch {audit.stretch} for faults {fault}"
         assert audit.stretch >= 1.0 or math.isinf(audit.spanner_distance)
-    assert engine.audits == 25
+    assert engine.stats()["audits"] == 25
 
 
 def test_stretch_audit_requires_original():

@@ -8,6 +8,7 @@ from repro.faults.models import get_fault_model
 from repro.graph import generators
 from repro.graph.core import Graph
 from repro.graph.views import ExclusionView
+from repro.obs.metrics import get_registry
 from repro.paths.dijkstra import bounded_distance
 from repro.spanners.fault_check import (
     SCREEN_RESOLVED_OUTCOMES,
@@ -28,6 +29,18 @@ def _witness_is_valid(graph, source, target, budget, max_faults, model_name, wit
     assert len(witness) <= max_faults
     view = model.apply(graph, witness)
     return bounded_distance(view, source, target, budget) > budget
+
+
+def _screen_key(outcome):
+    """An ``oracle.screen`` child as ``counter_values("oracle.")`` keys it."""
+    return f'screen{{outcome="{outcome}"}}'
+
+
+def _screen_resolved(oracle):
+    """Queries the tiered screens answered without the exact search."""
+    counts = oracle.metrics.counter_values("oracle.")
+    return sum(counts.get(_screen_key(outcome), 0)
+               for outcome in SCREEN_RESOLVED_OUTCOMES)
 
 
 class TestOracleResolution:
@@ -209,10 +222,10 @@ class TestTieredOracle:
             for target in range(1, 16, 2):
                 if source == target:
                     continue
-                resolved_before = tiered.stats.screen_resolved
+                resolved_before = _screen_resolved(tiered)
                 answer = tiered.find_breaking_fault_set(
                     graph, source, target, 3.0, 2, fault_model)
-                if tiered.stats.screen_resolved == resolved_before:
+                if _screen_resolved(tiered) == resolved_before:
                     continue  # fell through: covered by the matrix test
                 screened += 1
                 exact = BranchAndBoundOracle().find_breaking_fault_set(
@@ -226,12 +239,15 @@ class TestTieredOracle:
         for source, target in [(0, 6), (0, 9), (1, 8), (2, 11), (2, 4)]:
             tiered.find_breaking_fault_set(graph, source, target, 3.0, 2,
                                            "vertex")
-        stats = tiered.stats
-        outcomes = stats.screen_outcomes
-        assert set(outcomes) <= set(SCREEN_RESOLVED_OUTCOMES) | {"fallthrough"}
-        assert stats.screen_checks == stats.queries == 5
-        assert stats.screen_resolved + outcomes.get("fallthrough", 0) == 5
-        assert stats.exact_checks == outcomes.get("fallthrough", 0)
+        counts = tiered.metrics.counter_values("oracle.")
+        outcomes = {key: count for key, count in counts.items()
+                    if key.startswith("screen{")}
+        assert set(outcomes) <= {_screen_key(outcome) for outcome in
+                                 SCREEN_RESOLVED_OUTCOMES + ("fallthrough",)}
+        fallthrough = outcomes.get(_screen_key("fallthrough"), 0)
+        assert sum(outcomes.values()) == counts["queries"] == 5
+        assert _screen_resolved(tiered) + fallthrough == 5
+        assert counts["exact"] == fallthrough
 
     def test_hit_rate_histogram_observes_resolved_fraction(self):
         graph = generators.gnm(12, 30, rng=3, connected=True, weighted=True)
@@ -239,20 +255,29 @@ class TestTieredOracle:
         for source, target in [(0, 6), (1, 8), (2, 11)]:
             tiered.find_breaking_fault_set(graph, source, target, 3.0, 1,
                                            "edge")
-        rate = tiered.stats.observe_screen_hit_rate()
-        assert rate is not None
-        assert rate == tiered.stats.screen_resolved / tiered.stats.queries
+        resolved = _screen_resolved(tiered)
+        queries = tiered.metrics.counter_values("oracle.")["queries"]
+        histogram = get_registry().histogram("oracle.screen_hit_rate")
+        observed = histogram.count
+        work = tiered.finish_build()
+        assert work["screen_hit_rate"] == resolved / queries
+        assert work["oracle_queries"] == queries
+        assert histogram.count == observed + 1
+        # The build's counts left the oracle for the process registry.
+        assert tiered.metrics.counter_values("oracle.")["queries"] == 0
 
 
 class TestStats:
     def test_counters_accumulate_and_reset(self, small_random):
         oracle = BranchAndBoundOracle()
         oracle.find_breaking_fault_set(small_random, 0, 5, 3.0, 1, "vertex")
-        assert oracle.stats.queries == 1
-        assert oracle.stats.distance_queries >= 1
-        oracle.stats.reset()
-        assert oracle.stats.queries == 0
-        assert oracle.stats.distance_queries == 0
+        counts = oracle.metrics.counter_values("oracle.")
+        assert counts["queries"] == 1
+        assert counts["distance_queries"] >= 1
+        oracle.metrics.reset()
+        counts = oracle.metrics.counter_values("oracle.")
+        assert counts["queries"] == 0
+        assert counts["distance_queries"] == 0
 
     def test_branch_and_bound_cheaper_than_exhaustive(self):
         graph = generators.gnm(14, 40, rng=2, connected=True)
@@ -261,4 +286,5 @@ class TestStats:
         for source, target in [(0, 7), (1, 9)]:
             exhaustive.find_breaking_fault_set(graph, source, target, 3.0, 2, "vertex")
             bnb.find_breaking_fault_set(graph, source, target, 3.0, 2, "vertex")
-        assert bnb.stats.distance_queries < exhaustive.stats.distance_queries
+        assert (bnb.metrics.counter_values("oracle.")["distance_queries"]
+                < exhaustive.metrics.counter_values("oracle.")["distance_queries"])

@@ -218,7 +218,7 @@ class TestTieredOracleBuilds:
     def test_parallel_counters_reconcile_with_registry(self, small_random):
         """Worker screen outcomes ship home as flat labeled counters; after
         the build the process registry must account one screen decision per
-        oracle query — the parallel half of the OracleStats invariant."""
+        oracle query — the parallel half of the per-oracle invariant."""
         from repro.obs.metrics import get_registry
         from repro.spanners.fault_check import TieredOracle
 

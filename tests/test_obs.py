@@ -367,7 +367,7 @@ def test_stretch_audit_batch_workers4_stats_equal_serial(seed):
 class TestCacheStats:
     def test_untouched_cache_hit_rate_is_zero(self):
         cache = ResultCache(4, metrics=MetricsRegistry())
-        assert cache.hit_rate == 0.0
+        assert cache.stats()["hit_rate"] == 0.0
 
     def test_stats_expose_evictions_and_invalidations(self):
         cache = ResultCache(4, metrics=MetricsRegistry())

@@ -430,6 +430,20 @@ class TestDispatch:
             assert excinfo.value.status == 400
         assert core.applied == []  # nothing reached the journal
 
+    def test_update_weight_must_be_a_positive_finite_number(self):
+        core = FakeCore(writable=True)
+        for weight in (True, "2", 0, 0.0, -1, float("nan"), float("inf"),
+                       None, [2], 10 ** 400):
+            op = {"op": "insert", "u": 0, "v": 1, "weight": weight}
+            with pytest.raises(RequestError, match="weight must be a positive "
+                                                   "finite number") as excinfo:
+                self._dispatch(core, "update", {"updates": [op]})
+            assert excinfo.value.status == 400
+        assert core.applied == []
+        self._dispatch(core, "update", {"updates": [
+            {"op": "reweight", "u": 0, "v": 1, "weight": 2}]})
+        assert core.applied[0].weight == 2.0 and type(core.applied[0].weight) is float
+
     def test_edge_fault_boolean_endpoint_is_rejected(self):
         with pytest.raises(RequestError, match=r"^faults\[0\]\[1\] must be"):
             parse_faults([[0, True]], "edge")
@@ -491,7 +505,7 @@ class TestCoalescingWindow:
         first, second, window = asyncio.run(scenario())
         assert (first, second) == ([1.0], [3.0])
         assert len(calls) == 2
-        assert window.batches_flushed == 2
+        assert window.metrics.counter_values("serve.coalesce.")["batches"] == 2
         assert window.pending_queries == 0
 
     def test_concurrent_submits_merge_into_one_batch(self):
@@ -514,8 +528,8 @@ class TestCoalescingWindow:
         # One merged batch, positional slices back to each submitter.
         assert len(calls) == 1 and len(calls[0]) == 4
         assert answers == [[12.0], [34.0, 56.0], [78.0]]
-        assert window.batches_flushed == 1
-        assert window.requests_coalesced == 3
+        counts = window.metrics.counter_values("serve.coalesce.")
+        assert counts["batches"] == 1 and counts["requests"] == 3
 
     def test_max_batch_flushes_early(self):
         calls = []
@@ -531,7 +545,7 @@ class TestCoalescingWindow:
             return window
 
         window = asyncio.run(scenario())  # returns => no 30s timer waited on
-        assert window.batches_flushed == 1
+        assert window.metrics.counter_values("serve.coalesce.")["batches"] == 1
         assert len(calls[0]) == 3
 
     def test_runner_exception_reaches_every_parked_request(self):
@@ -717,6 +731,76 @@ def _query_plan(nodes):
     return queries
 
 
+class TestEngineCoreInputChecks:
+    """What the real core refuses before any engine or journal work."""
+
+    def _core(self, fault_model="vertex"):
+        from repro.build import BuildSession, BuildSpec
+        from repro.dynamic import LiveEngine
+        from repro.graph import generators
+        from repro.serve.core import EngineCore
+
+        graph = generators.gnm(18, 48, rng=31, connected=True, weighted=True)
+        spec = BuildSpec(algorithm="ft-greedy", stretch=3, max_faults=1,
+                         fault_model=fault_model)
+        return EngineCore(LiveEngine(BuildSession(graph, spec).dynamic()),
+                          window_seconds=0)
+
+    def _refused(self, core, verb, payload, field):
+        with pytest.raises(RequestError) as excinfo:
+            dispatch_sync(core, verb, payload)
+        assert excinfo.value.status == 400
+        assert str(excinfo.value).startswith(f"{field} "), excinfo.value
+        assert "is not a node of the served spanner" in str(excinfo.value)
+
+    def test_unknown_node_labels_are_a_400_naming_the_field(self):
+        core = self._core()
+        cases = [
+            ("distance", {"source": 999, "target": 1}, "source"),
+            ("connectivity", {"source": 0, "target": "x"}, "target"),
+            ("distance", {"source": 0, "target": 1, "faults": [999]},
+             "faults[0]"),
+            ("distance", {"source": 0, "target": 1, "faults": [2, [1, [2]]]},
+             "faults[1]"),
+            ("distance", {"source": {"a": 1}, "target": 1}, "source"),
+            ("distances_batch", {"queries": [[0, 3], [0, 77]]}, "target"),
+            ("stretch_audit", {"source": 0, "target": 1, "faults": [55]},
+             "faults[0]"),
+        ]
+        for verb, payload, field in cases:
+            self._refused(core, verb, payload, field)
+        # Nothing reached the window or the engine.
+        assert core.stats()["queries_served"] == 0
+        assert core.stats()["coalesce"]["requests_coalesced"] == 0
+        document = dispatch_sync(core, "distance",
+                                 {"source": 0, "target": 1, "faults": [2]})
+        assert document["distance"] == core.engine.distance(0, 1, (2,))
+
+    def test_unknown_edge_fault_endpoint_names_its_position(self):
+        core = self._core("edge")
+        self._refused(core, "distance",
+                      {"source": 0, "target": 1, "faults": [[0, 2], [3, 99]]},
+                      "faults[1][1]")
+
+    def test_refused_update_batch_applies_and_journals_nothing(self):
+        core = self._core()
+        graph = core.engine.dynamic.graph
+        u, v = next((u, v) for u in range(18) for v in range(u + 1, 18)
+                    if not graph.has_edge(u, v))
+        version = graph.version
+        for weight in (-1, "2", float("nan")):
+            with pytest.raises(RequestError) as excinfo:
+                dispatch_sync(core, "update", {"updates": [
+                    {"op": "insert", "u": u, "v": v, "weight": 1.0},
+                    {"op": "insert", "u": u, "v": v, "weight": weight}]})
+            assert excinfo.value.status == 400
+        assert core.describe()["journal_offset"] == 0
+        assert graph.version == version and not graph.has_edge(u, v)
+        report = dispatch_sync(core, "update", {"updates": [
+            {"op": "insert", "u": u, "v": v, "weight": 1.0}]})
+        assert report["journal_offset"] == 1
+
+
 class TestDaemonEndToEnd:
     def _engine_core(self, live, **kwargs):
         from repro.serve.core import EngineCore
@@ -743,8 +827,8 @@ class TestDaemonEndToEnd:
             for thread in threads:
                 thread.join(timeout=15)
         # Two clients, two requests, ONE engine batch: the daemon's point.
-        assert core.window.requests_coalesced == 2
-        assert core.window.batches_flushed == 1
+        counts = core.window.metrics.counter_values("serve.coalesce.")
+        assert counts["requests"] == 2 and counts["batches"] == 1
         assert answers["a"] == live.distance(0, 9)
         assert answers["b"] == live.distance(1, 7)
 
@@ -812,4 +896,4 @@ class TestDaemonEndToEnd:
             assert "repro_serve_coalesce_occupancy" in metrics
             assert "repro_engine_queries_served" in metrics
             client.close()
-        assert core.window.requests_coalesced >= 2 * len(plan)
+        assert core.stats()["coalesce"]["requests_coalesced"] >= 2 * len(plan)
